@@ -9,6 +9,7 @@ import (
 	"repro/internal/persistence"
 	"repro/internal/taskgen"
 	"repro/internal/taskmodel"
+	"repro/internal/telemetry"
 )
 
 // twoTaskSet builds a hand-checkable single-core system with disjoint
@@ -236,7 +237,7 @@ func TestBaselineBATMonotoneInWindow(t *testing.T) {
 	for _, cfg := range []Config{
 		{Arbiter: FP}, {Arbiter: RR}, {Arbiter: TDMA}, {Arbiter: Perfect},
 	} {
-		a, err := NewAnalyzer(ts, cfg)
+		a, err := NewReference(ts, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,11 +258,11 @@ func TestBaselineBATMonotoneInWindow(t *testing.T) {
 func TestPersistenceAwareBATDominatedByBaseline(t *testing.T) {
 	ts := fixtures.Fig1TaskSet()
 	for _, arb := range []Arbiter{FP, RR, TDMA, Perfect} {
-		base, err := NewAnalyzer(ts, Config{Arbiter: arb})
+		base, err := NewReference(ts, Config{Arbiter: arb})
 		if err != nil {
 			t.Fatal(err)
 		}
-		aware, err := NewAnalyzer(ts, Config{Arbiter: arb, Persistence: true})
+		aware, err := NewReference(ts, Config{Arbiter: arb, Persistence: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,6 +413,26 @@ func TestMultisetCPRODominatesUnion(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+func TestResponseTimeUnknownPriority(t *testing.T) {
+	// A priority absent from the set proves nothing: (0, false), never a
+	// panic — with no observer, a metrics-only observer, and a tracing
+	// observer (whose span name reads the task).
+	traced := telemetry.New()
+	traced.Trace = telemetry.NewTraceRecorder()
+	for _, obs := range []*telemetry.Observer{nil, telemetry.New(), traced} {
+		a, err := NewAnalyzer(fixtures.Fig1TaskSet(), Config{Arbiter: RR, Persistence: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if obs != nil {
+			a.SetObserver(obs)
+		}
+		if r, ok := a.ResponseTime(99); r != 0 || ok {
+			t.Errorf("observer %v: ResponseTime(99) = (%d, %v), want (0, false)", obs != nil, r, ok)
 		}
 	}
 }

@@ -76,8 +76,8 @@ type termCurve struct {
 
 // levelCurves materializes one analysis level's interference curves,
 // mirroring the row's hp/hep/lp slices (same tasks, same order — the
-// summation order of bas/bao/BAOLow, kept identical so the engine
-// reproduces their arithmetic exactly). Like the pair tables the
+// summation order of the oracle's BAS, BAO and baoLow in reference.go,
+// kept identical so the engine reproduces their arithmetic exactly). Like the pair tables the
 // build is lazy — per level, per core, per column: TDMA and Perfect
 // never pay for remote curves, and persistence-oblivious
 // configurations never pay for the CPRO fills. The slices are views
@@ -299,10 +299,12 @@ type remoteCursor struct {
 // so the inner fixed point allocates nothing once the analyzer is warm
 // (pinned by the allocs regression test).
 type fpState struct {
-	same    []sameCursor
-	remote  []remoteCursor
-	baoSum  []int64
-	lowSum  []int64
+	same   []sameCursor
+	remote []remoteCursor
+	baoSum []int64
+	lowSum []int64
+	// charged is fpTerms' per-core remote term, after the arbiter's clamp.
+	charged []int64
 	procSum taskmodel.Time
 	basSum  int64
 	// minNext is the smallest next-breakpoint over all cursors: below
@@ -314,9 +316,10 @@ type fpState struct {
 	valid bool
 }
 
-// persistentDemandCurve is persistentDemand evaluated from curve
-// constants: the same arithmetic, term for term, so both paths produce
-// bit-identical values.
+// persistentDemandCurve is persistence.PersistentDemandWindow (Eq. 10 +
+// Eq. 14, clamped by the oblivious bound) evaluated from curve
+// constants: the same arithmetic, term for term, as the oracle's call,
+// so both produce bit-identical values.
 func (a *Analyzer) persistentDemandCurve(tc *termCurve, n int64, t taskmodel.Time) int64 {
 	if n <= 0 {
 		return 0
@@ -333,7 +336,8 @@ func (a *Analyzer) persistentDemandCurve(tc *termCurve, n int64, t taskmodel.Tim
 	return plain
 }
 
-// rhoCurve mirrors rho from curve constants.
+// rhoCurve is persistence.RhoHatWindow, ρ̂_{j,i,x}(n) of Eq. (14) and
+// its variants, evaluated from curve constants.
 func (a *Analyzer) rhoCurve(tc *termCurve, n int64, t taskmodel.Time) int64 {
 	if n <= 1 {
 		return 0
@@ -379,7 +383,8 @@ func (a *Analyzer) evictorBreak(tc *termCurve, t, next taskmodel.Time) taskmodel
 }
 
 // sameEval evaluates one same-core curve at t: the processor term, the
-// BAS term (matching bas() exactly) and the next breakpoint.
+// BAS summand (matching the oracle's BAS exactly) and the next
+// breakpoint.
 func (a *Analyzer) sameEval(tc *termCurve, t taskmodel.Time) (procVal taskmodel.Time, basVal int64, next taskmodel.Time) {
 	e := ceilDiv(int64(t), int64(tc.period))
 	procVal = taskmodel.Time(e) * tc.pd
@@ -398,8 +403,8 @@ func (a *Analyzer) sameEval(tc *termCurve, t taskmodel.Time) (procVal taskmodel.
 	return procVal, basVal, next
 }
 
-// remoteEval evaluates one remote curve at t, matching contribRef
-// exactly: the n(t) job count of Eq. (6), the W demand term and the
+// remoteEval evaluates one remote curve at t, matching the oracle's
+// contrib exactly: the n(t) job count of Eq. (6), the W demand term and the
 // carry-out ramp W_cout of Eq. (5), plus the next breakpoint (job
 // release, d_mem ramp step, or evictor release).
 func (a *Analyzer) remoteEval(tc *termCurve, c int64, t taskmodel.Time) (val int64, next taskmodel.Time) {
@@ -548,9 +553,11 @@ func (a *Analyzer) fpReset(ii int, core int, r taskmodel.Time) {
 	if cap(s.baoSum) < m {
 		s.baoSum = make([]int64, m)
 		s.lowSum = make([]int64, m)
+		s.charged = make([]int64, m)
 	}
 	s.baoSum = s.baoSum[:m]
 	s.lowSum = s.lowSum[:m]
+	s.charged = s.charged[:m]
 	for y := 0; y < m; y++ {
 		s.baoSum[y], s.lowSum[y] = 0, 0
 	}
@@ -671,64 +678,66 @@ func (a *Analyzer) fpAdvance(t taskmodel.Time) {
 	}
 }
 
-// fpBAT combines the cursor sums into BAT exactly as BAT() does from
-// its recomputed terms: Eq. (7) for FP, Eq. (8) for RR, Eq. (9) for
-// TDMA, own accesses only for Perfect.
-func (a *Analyzer) fpBAT(md int64, core int, hasLP bool) int64 {
+// batTerms is BAT split into the additive terms its arbiter charges:
+//
+//	bat = bas + slotWait + Σ_y remote[y] + blocking
+//
+// remote[y] is the demand charged for remote core y after the
+// arbiter's per-core clamp — zero on the task's own core, whose sum
+// fpReset leaves empty. It is nil for TDMA and Perfect, which charge no
+// remote demand, and otherwise aliases the level's cursor state, valid
+// until the cursors next move.
+type batTerms struct {
+	bas, slotWait, blocking, bat int64
+	remote                       []int64
+}
+
+// fpTerms decomposes BAT at the cursors' iterate, combining the running
+// sums as the oracle's BAT does from its recomputed terms: Eq. (7) for
+// FP, Eq. (8) for RR, Eq. (9) for TDMA, own accesses only for Perfect,
+// and the per-core clamps of Regulated and ParAware. It is the engine's
+// one per-arbiter combine: the fixed point reads bat, dominantTerm
+// takes the argmax of the terms and Explain reports them.
+func (a *Analyzer) fpTerms(md int64, hasLP bool) batTerms {
 	s := a.fp
-	bas := md + s.basSum
-	var plus1 int64
-	if hasLP {
-		plus1 = 1
+	bt := batTerms{bas: md + s.basSum}
+	if a.Cfg.Arbiter == Perfect {
+		bt.bat = bt.bas
+		return bt
 	}
+	if hasLP {
+		bt.blocking = 1
+	}
+	clamp := int64(math.MaxInt64)
 	switch a.Cfg.Arbiter {
-	case Perfect:
-		return bas
-	case FP:
-		total := bas + plus1
-		var low int64
-		for y := range s.baoSum {
-			total += s.baoSum[y]
-			low += s.lowSum[y]
-		}
-		return total + min64(bas, low)
-	case RR:
-		slot := int64(a.TS.Platform.SlotSize)
-		total := bas + plus1
-		for y := 0; y < len(s.baoSum); y++ {
-			if y == core {
-				continue
-			}
-			total += min64(s.baoSum[y], slot*bas)
-		}
-		return total
 	case TDMA:
-		slot := int64(a.TS.Platform.SlotSize)
-		l := int64(a.TS.Platform.NumCores)
-		return bas + (l-1)*slot*bas + plus1
+		bt.slotWait = int64(a.TS.Platform.NumCores-1) * int64(a.TS.Platform.SlotSize) * bt.bas
+		bt.bat = bt.bas + bt.slotWait + bt.blocking
+		return bt
+	case FP:
+		var low int64
+		for _, v := range s.lowSum {
+			low += v
+		}
+		bt.blocking += min64(bt.bas, low)
+	case RR:
+		clamp = int64(a.TS.Platform.SlotSize) * bt.bas
 	case Regulated:
-		// s.at is the iterate the sums are valid at — responseTime keeps
-		// it equal to the current iterate r at every fpBAT call — so the
-		// budget cap is evaluated at exactly the t BAT() would use.
-		rc := regCapAt(a.TS.Platform, s.at)
-		total := bas + plus1
-		for y := 0; y < len(s.baoSum); y++ {
-			if y == core {
-				continue
-			}
-			total += min64(s.baoSum[y], rc+bas)
-		}
-		return total
+		// s.at is the iterate the sums are valid at — every caller
+		// evaluates the terms at the cursors' own iterate — so the budget
+		// cap is evaluated at exactly the t the oracle's BAT would use.
+		clamp = regCapAt(a.TS.Platform, s.at) + bt.bas
 	case ParAware:
-		total := bas + plus1
-		for y := 0; y < len(s.baoSum); y++ {
-			if y == core {
-				continue
-			}
-			total += min64(s.baoSum[y], bas)
-		}
-		return total
+		clamp = bt.bas
 	default:
 		panic(fmt.Sprintf("core: unknown arbiter %d", int(a.Cfg.Arbiter)))
 	}
+	bt.bat = bt.bas + bt.blocking
+	for y, v := range s.baoSum {
+		v = min64(v, clamp)
+		s.charged[y] = v
+		bt.bat += v
+	}
+	bt.remote = s.charged
+	return bt
 }

@@ -39,7 +39,7 @@ func fpBlockingSet() *taskmodel.TaskSet {
 
 func TestFPBlockingTermsHandChecked(t *testing.T) {
 	ts := fpBlockingSet()
-	a, err := NewAnalyzer(ts, Config{Arbiter: FP})
+	a, err := NewReference(ts, Config{Arbiter: FP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,16 +57,16 @@ func TestFPBlockingTermsHandChecked(t *testing.T) {
 	if got := a.BAO(1, 1, w); got != 3 {
 		t.Fatalf("BAO = %d, want 3 (pure carry-out)", got)
 	}
-	// BAOLow(level 1, core 1): remoteLo: njobs = floor((40+10-4)/400)=0;
+	// BAO_low(level 1, core 1): remoteLo: njobs = floor((40+10-4)/400)=0;
 	// wcout = min(ceil(46/2), 2) = 2.
-	if got := a.BAOLow(1, 1, w); got != 2 {
-		t.Fatalf("BAOLow = %d, want 2", got)
+	if got := a.baoLow(1, 1, w); got != 2 {
+		t.Fatalf("BAO_low = %d, want 2", got)
 	}
 	// plus1: localLo exists.
 	if got := a.plus1(1, 0); got != 1 {
 		t.Fatalf("plus1 = %d, want 1", got)
 	}
-	// Eq. (7): BAS + BAO + 1 + min(BAS, BAOLow) = 4 + 3 + 1 + 2 = 10.
+	// Eq. (7): BAS + BAO + 1 + min(BAS, BAO_low) = 4 + 3 + 1 + 2 = 10.
 	if got := a.BAT(1, w); got != 10 {
 		t.Fatalf("BAT = %d, want 10", got)
 	}
@@ -74,7 +74,7 @@ func TestFPBlockingTermsHandChecked(t *testing.T) {
 
 func TestNjobsClampsNegative(t *testing.T) {
 	ts := fpBlockingSet()
-	a, err := NewAnalyzer(ts, Config{Arbiter: FP})
+	a, err := NewReference(ts, Config{Arbiter: FP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestNjobsClampsNegative(t *testing.T) {
 
 func TestWcoutClampedByDemand(t *testing.T) {
 	ts := fpBlockingSet()
-	a, err := NewAnalyzer(ts, Config{Arbiter: FP})
+	a, err := NewReference(ts, Config{Arbiter: FP})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"repro/internal/persistence"
 	"repro/internal/taskmodel"
 )
 
@@ -74,116 +73,65 @@ type Explanation struct {
 }
 
 // Explain runs the full analysis and decomposes the bound of the task
-// with the given priority at its converged response time.
+// with the given priority at its converged response time. The
+// decomposition is read from the engine itself: the level's cursors are
+// re-seated at the converged bound and split by the same per-arbiter
+// combine the fixed point iterated (fpTerms), so it adds up to BAT by
+// construction.
 func Explain(ts *taskmodel.TaskSet, cfg Config, prio int) (*Explanation, error) {
 	a, err := NewAnalyzer(ts, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := a.Run()
-	ti := ts.ByPriority(prio)
-	if ti == nil {
+	ii, ok := a.tab.prioIdx[prio]
+	if !ok {
 		return nil, fmt.Errorf("core: no task with priority %d", prio)
 	}
-	var tr *TaskResult
-	for i := range res.Tasks {
-		if res.Tasks[i].Priority == prio {
-			tr = &res.Tasks[i]
-		}
-	}
-	if tr == nil {
-		return nil, fmt.Errorf("core: priority %d missing from result", prio)
-	}
+	// res.Tasks follows ts.Tasks, as do the table indices.
+	res := a.Run()
+	ti := a.tab.tasks[ii]
 	r := a.R[prio]
+	a.fpReset(ii, ti.Core, r)
+	s := a.fp
+	bt := a.fpTerms(ti.MD, a.tab.hasLP(ii))
 
 	ex := &Explanation{
-		Task:        ti.Name,
-		Priority:    prio,
-		Core:        ti.Core,
-		WCRT:        r,
-		Schedulable: tr.Schedulable && res.Complete,
-		PD:          ti.PD,
-		OwnMD:       ti.MD,
+		Task:           ti.Name,
+		Priority:       prio,
+		Core:           ti.Core,
+		WCRT:           r,
+		Schedulable:    res.Tasks[ii].Schedulable && res.Complete,
+		PD:             ti.PD,
+		OwnMD:          ti.MD,
+		CorePreemption: s.procSum,
+		BAS:            bt.bas,
+		SlotWait:       bt.slotWait,
+		Blocking:       bt.blocking,
+		BAT:            bt.bat,
+		BusTime:        taskmodel.Time(bt.bat) * ts.Platform.DMem,
 	}
-
-	for _, tj := range ts.HP(prio, ti.Core) {
-		ej := ceilDiv(int64(r), int64(tj.Period))
-		g := a.gamma(prio, tj.Priority, ti.Core)
+	hp := a.tab.row(ii).hp
+	for k := range s.same {
+		cur := &s.same[k]
+		tc := cur.tc
+		e := ceilDiv(int64(r), int64(tc.period))
 		term := SameCoreTerm{
-			Task:        tj.Name,
-			Jobs:        ej,
-			PlainDemand: ej * tj.MD,
-			AwareDemand: ej * tj.MD,
-			CRPD:        ej * g,
+			Task:        hp[k].t.Name,
+			Jobs:        e,
+			PlainDemand: e * tc.md,
+			CRPD:        e * tc.gamma,
 		}
+		term.AwareDemand = cur.basVal - term.CRPD
 		if cfg.Persistence {
-			// Window-aware variants, matching what BAS charges at r so
-			// the decomposition adds up under every CPRO approach.
-			term.AwareDemand = persistence.PersistentDemandWindow(ts, cfg.CPRO, tj.Priority, prio, ti.Core, ej, r)
-			term.CPRO = persistence.RhoHatWindow(ts, cfg.CPRO, tj.Priority, prio, ti.Core, ej, r)
+			term.CPRO = a.rhoCurve(tc, e, r)
 		}
 		ex.SameCore = append(ex.SameCore, term)
-		ex.CorePreemption += taskmodel.Time(ej) * tj.PD
 	}
-	ex.BAS = a.BAS(prio, ti.Core, r)
-
-	bat := a.BAT(prio, r)
-	switch cfg.Arbiter {
-	case FP:
-		var low int64
-		for y := 0; y < ts.Platform.NumCores; y++ {
-			if y == ti.Core {
-				continue
-			}
-			raw := a.BAO(prio, y, r)
-			ex.Remote = append(ex.Remote, RemoteCoreTerm{Core: y, Accesses: raw, Raw: raw})
-			low += a.BAOLow(prio, y, r)
+	for y, acc := range bt.remote {
+		if y != ti.Core {
+			ex.Remote = append(ex.Remote, RemoteCoreTerm{Core: y, Accesses: acc, Raw: s.baoSum[y]})
 		}
-		ex.Blocking = a.plus1(prio, ti.Core) + min64(ex.BAS, low)
-	case RR:
-		s := int64(ts.Platform.SlotSize)
-		n := ts.LowestPriority()
-		for y := 0; y < ts.Platform.NumCores; y++ {
-			if y == ti.Core {
-				continue
-			}
-			raw := a.BAO(n, y, r)
-			ex.Remote = append(ex.Remote, RemoteCoreTerm{Core: y, Accesses: min64(raw, s*ex.BAS), Raw: raw})
-		}
-		ex.Blocking = a.plus1(prio, ti.Core)
-	case TDMA:
-		// TDMA charges slot waiting per own access rather than remote
-		// demand; expose it as a single synthetic term.
-		ex.SlotWait = int64(ts.Platform.NumCores-1) * int64(ts.Platform.SlotSize) * ex.BAS
-		ex.Blocking = a.plus1(prio, ti.Core)
-	case Regulated:
-		n := ts.LowestPriority()
-		rc := regCapAt(ts.Platform, r)
-		for y := 0; y < ts.Platform.NumCores; y++ {
-			if y == ti.Core {
-				continue
-			}
-			raw := a.BAO(n, y, r)
-			ex.Remote = append(ex.Remote, RemoteCoreTerm{Core: y, Accesses: min64(raw, rc+ex.BAS), Raw: raw})
-		}
-		ex.Blocking = a.plus1(prio, ti.Core)
-	case ParAware:
-		n := ts.LowestPriority()
-		for y := 0; y < ts.Platform.NumCores; y++ {
-			if y == ti.Core {
-				continue
-			}
-			raw := a.BAO(n, y, r)
-			ex.Remote = append(ex.Remote, RemoteCoreTerm{Core: y, Accesses: min64(raw, ex.BAS), Raw: raw})
-		}
-		ex.Blocking = a.plus1(prio, ti.Core)
-	case Perfect:
-		// no remote interference
-	default:
-		return nil, fmt.Errorf("core: no explanation for arbiter %v", cfg.Arbiter)
 	}
-	ex.BAT = bat
-	ex.BusTime = taskmodel.Time(bat) * ts.Platform.DMem
 	return ex, nil
 }
 

@@ -40,7 +40,7 @@ import (
 //     read the ECB/PCB sets and periods of the prefix tasks, and do not
 //     depend on the CRPD approach at all — the persist keys omit it, so
 //     tables built for different approaches share the CPRO columns.
-//   - A lower-priority task's CPRO entry at the level (BAOLow) reads
+//   - A lower-priority task's CPRO entry at the level (BAO_low) reads
 //     the prefix plus that task's own ECB/PCB/Period; it is keyed by
 //     the prefix key chained with the task's digest.
 //

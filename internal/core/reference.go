@@ -7,25 +7,56 @@ import (
 )
 
 // Reference implementation: the direct, recompute-everything evaluation
-// of Eq. (1)–(19) that the analyzer used before the interference tables
-// existed. Every task-pair quantity (γ, the CPRO overlaps, the
+// of Eq. (1)–(19). Every task-pair quantity (γ, the CPRO overlaps, the
 // hp/hep/lp slices) is rebuilt from the task model on each use, and the
-// outer loop re-evaluates every task in every round. It is kept solely
-// as the oracle for the differential test: the table-driven analyzer
-// must return bit-identical Results. Do not use it for real workloads —
-// that is the point.
+// outer loop re-evaluates every task in every round. It is the one
+// naive oracle of the package: the differential test checks the curve
+// engine's Results against AnalyzeReference bit for bit, the worked
+// example of Section IV reads its per-term values from the BAS, BAO and
+// BAT accessors, and the Explain tests check the engine's decomposition
+// against BAT. Do not use it for real workloads — that is the point.
 
-type refAnalyzer struct {
+// Reference evaluates the equations for one task set under one
+// configuration with nothing cached but γ.
+type Reference struct {
 	ts  *taskmodel.TaskSet
 	cfg Config
-	r   map[int]taskmodel.Time
+	// R holds the response-time estimate per priority value feeding the
+	// remote-interference terms N and W_cout. NewReference seeds it with
+	// PD_i + MD_i·d_mem; callers may set entries directly to evaluate the
+	// per-term accessors at chosen estimates.
+	R map[int]taskmodel.Time
 
 	gammaMemo map[refGammaKey]int64
 }
 
+// NewReference validates the task set and configuration and returns
+// the oracle with response times at the paper's fixed-point seed.
+func NewReference(ts *taskmodel.TaskSet, cfg Config) (*Reference, error) {
+	if err := ts.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.ValidateFor(ts.Platform); err != nil {
+		return nil, err
+	}
+	if cfg.MaxOuterIterations == 0 {
+		cfg.MaxOuterIterations = 64
+	}
+	a := &Reference{
+		ts:        ts,
+		cfg:       cfg,
+		R:         make(map[int]taskmodel.Time, len(ts.Tasks)),
+		gammaMemo: make(map[refGammaKey]int64),
+	}
+	for _, t := range ts.Tasks {
+		a.R[t.Priority] = t.PD + taskmodel.Time(t.MD)*ts.Platform.DMem
+	}
+	return a, nil
+}
+
 type refGammaKey struct{ i, j, core int }
 
-func (a *refAnalyzer) gamma(i, j, core int) int64 {
+func (a *Reference) gamma(i, j, core int) int64 {
 	k := refGammaKey{i, j, core}
 	if g, ok := a.gammaMemo[k]; ok {
 		return g
@@ -35,7 +66,11 @@ func (a *refAnalyzer) gamma(i, j, core int) int64 {
 	return g
 }
 
-func (a *refAnalyzer) bas(i, core int, t taskmodel.Time) int64 {
+// BAS bounds the bus accesses generated on core x by one job of the
+// priority-i task plus all higher-priority tasks of that core in a
+// window of length t: Eq. (1), or B̂AS of Lemma 1 (Eq. 16) with
+// persistence enabled.
+func (a *Reference) BAS(i, core int, t taskmodel.Time) int64 {
 	ti := a.ts.ByPriority(i)
 	total := ti.MD
 	for _, tj := range a.ts.HP(i, core) {
@@ -51,9 +86,9 @@ func (a *refAnalyzer) bas(i, core int, t taskmodel.Time) int64 {
 	return total
 }
 
-func (a *refAnalyzer) njobs(k int, tl *taskmodel.Task, t taskmodel.Time) int64 {
+func (a *Reference) njobs(k int, tl *taskmodel.Task, t taskmodel.Time) int64 {
 	g := a.gamma(k, tl.Priority, tl.Core)
-	num := int64(t) + int64(a.r[tl.Priority]) - (tl.MD+g)*int64(a.ts.Platform.DMem)
+	num := int64(t) + int64(a.R[tl.Priority]) - (tl.MD+g)*int64(a.ts.Platform.DMem)
 	n := floorDiv(num, int64(tl.Period))
 	if n < 0 {
 		return 0
@@ -61,10 +96,10 @@ func (a *refAnalyzer) njobs(k int, tl *taskmodel.Task, t taskmodel.Time) int64 {
 	return n
 }
 
-func (a *refAnalyzer) wcout(k int, tl *taskmodel.Task, t taskmodel.Time, n int64) int64 {
+func (a *Reference) wcout(k int, tl *taskmodel.Task, t taskmodel.Time, n int64) int64 {
 	g := a.gamma(k, tl.Priority, tl.Core)
 	dmem := int64(a.ts.Platform.DMem)
-	num := int64(t) + int64(a.r[tl.Priority]) - (tl.MD+g)*dmem - n*int64(tl.Period)
+	num := int64(t) + int64(a.R[tl.Priority]) - (tl.MD+g)*dmem - n*int64(tl.Period)
 	w := ceilDiv(num, dmem)
 	if w < 0 {
 		return 0
@@ -72,7 +107,7 @@ func (a *refAnalyzer) wcout(k int, tl *taskmodel.Task, t taskmodel.Time, n int64
 	return min64(w, tl.MD+g)
 }
 
-func (a *refAnalyzer) contrib(k int, tl *taskmodel.Task, t taskmodel.Time) int64 {
+func (a *Reference) contrib(k int, tl *taskmodel.Task, t taskmodel.Time) int64 {
 	n := a.njobs(k, tl, t)
 	g := a.gamma(k, tl.Priority, tl.Core)
 	var w int64
@@ -84,7 +119,10 @@ func (a *refAnalyzer) contrib(k int, tl *taskmodel.Task, t taskmodel.Time) int64
 	return w + a.wcout(k, tl, t, n)
 }
 
-func (a *refAnalyzer) bao(k, y int, t taskmodel.Time) int64 {
+// BAO bounds the bus accesses generated on remote core y by all tasks
+// of priority k or higher in a window of length t: Eq. (3), or B̂AO of
+// Lemma 2 with persistence enabled.
+func (a *Reference) BAO(k, y int, t taskmodel.Time) int64 {
 	var total int64
 	for _, tl := range a.ts.HEP(k, y) {
 		total += a.contrib(k, tl, t)
@@ -92,7 +130,7 @@ func (a *refAnalyzer) bao(k, y int, t taskmodel.Time) int64 {
 	return total
 }
 
-func (a *refAnalyzer) baoLow(i, y int, t taskmodel.Time) int64 {
+func (a *Reference) baoLow(i, y int, t taskmodel.Time) int64 {
 	var total int64
 	for _, tl := range a.ts.LP(i, y) {
 		total += a.contrib(i, tl, t)
@@ -100,17 +138,21 @@ func (a *refAnalyzer) baoLow(i, y int, t taskmodel.Time) int64 {
 	return total
 }
 
-func (a *refAnalyzer) plus1(i, core int) int64 {
+func (a *Reference) plus1(i, core int) int64 {
 	if len(a.ts.LP(i, core)) > 0 {
 		return 1
 	}
 	return 0
 }
 
-func (a *refAnalyzer) bat(i int, t taskmodel.Time) int64 {
+// BAT bounds the bus accesses that may delay the priority-i task on its
+// core in a window of length t under the configured arbiter: Eq. (7)
+// FP, Eq. (8) RR, Eq. (9) TDMA, own accesses only for Perfect, and the
+// Regulated and ParAware per-core clamps.
+func (a *Reference) BAT(i int, t taskmodel.Time) int64 {
 	ti := a.ts.ByPriority(i)
 	core := ti.Core
-	bas := a.bas(i, core, t)
+	bas := a.BAS(i, core, t)
 	switch a.cfg.Arbiter {
 	case Perfect:
 		return bas
@@ -121,7 +163,7 @@ func (a *refAnalyzer) bat(i int, t taskmodel.Time) int64 {
 			if y == core {
 				continue
 			}
-			total += a.bao(i, y, t)
+			total += a.BAO(i, y, t)
 			low += a.baoLow(i, y, t)
 		}
 		return total + min64(bas, low)
@@ -133,7 +175,7 @@ func (a *refAnalyzer) bat(i int, t taskmodel.Time) int64 {
 			if y == core {
 				continue
 			}
-			total += min64(a.bao(n, y, t), s*bas)
+			total += min64(a.BAO(n, y, t), s*bas)
 		}
 		return total
 	case TDMA:
@@ -148,7 +190,7 @@ func (a *refAnalyzer) bat(i int, t taskmodel.Time) int64 {
 			if y == core {
 				continue
 			}
-			total += min64(a.bao(n, y, t), rc+bas)
+			total += min64(a.BAO(n, y, t), rc+bas)
 		}
 		return total
 	case ParAware:
@@ -158,7 +200,7 @@ func (a *refAnalyzer) bat(i int, t taskmodel.Time) int64 {
 			if y == core {
 				continue
 			}
-			total += min64(a.bao(n, y, t), bas)
+			total += min64(a.BAO(n, y, t), bas)
 		}
 		return total
 	default:
@@ -166,11 +208,11 @@ func (a *refAnalyzer) bat(i int, t taskmodel.Time) int64 {
 	}
 }
 
-func (a *refAnalyzer) responseTime(i int) (taskmodel.Time, bool) {
+func (a *Reference) responseTime(i int) (taskmodel.Time, bool) {
 	ti := a.ts.ByPriority(i)
 	dmem := a.ts.Platform.DMem
 	r := ti.PD + taskmodel.Time(ti.MD)*dmem
-	if cur := a.r[i]; cur > r {
+	if cur := a.R[i]; cur > r {
 		r = cur
 	}
 	for {
@@ -178,7 +220,7 @@ func (a *refAnalyzer) responseTime(i int) (taskmodel.Time, bool) {
 		for _, tj := range a.ts.HP(i, ti.Core) {
 			interference += taskmodel.Time(ceilDiv(int64(r), int64(tj.Period))) * tj.PD
 		}
-		next := ti.PD + interference + taskmodel.Time(a.bat(i, r))*dmem
+		next := ti.PD + interference + taskmodel.Time(a.BAT(i, r))*dmem
 		if next > ti.Deadline {
 			return next, false
 		}
@@ -189,7 +231,7 @@ func (a *refAnalyzer) responseTime(i int) (taskmodel.Time, bool) {
 	}
 }
 
-func (a *refAnalyzer) perfectBusUtil() float64 {
+func (a *Reference) perfectBusUtil() float64 {
 	u := 0.0
 	for _, t := range a.ts.Tasks {
 		demand := t.MD
@@ -205,13 +247,13 @@ func (a *refAnalyzer) perfectBusUtil() float64 {
 	return u
 }
 
-func (a *refAnalyzer) fail(res *Result, failPrio int, proven bool) *Result {
+func (a *Reference) fail(res *Result, failPrio int, proven bool) *Result {
 	res.Schedulable = false
 	res.Complete = false
 	for _, t := range a.ts.Tasks {
 		res.Tasks = append(res.Tasks, TaskResult{
 			Name: t.Name, Priority: t.Priority, Core: t.Core,
-			WCRT: a.r[t.Priority], Deadline: t.Deadline,
+			WCRT: a.R[t.Priority], Deadline: t.Deadline,
 			Schedulable: false,
 			Verified:    proven && t.Priority == failPrio,
 		})
@@ -219,7 +261,7 @@ func (a *refAnalyzer) fail(res *Result, failPrio int, proven bool) *Result {
 	return res
 }
 
-func (a *refAnalyzer) run() *Result {
+func (a *Reference) run() *Result {
 	res := &Result{Schedulable: true, Complete: true}
 	if a.cfg.Arbiter == Perfect && a.perfectBusUtil() > 1.0 {
 		res.Schedulable = false
@@ -238,11 +280,11 @@ func (a *refAnalyzer) run() *Result {
 		for _, t := range a.ts.Tasks {
 			r, ok := a.responseTime(t.Priority)
 			if !ok {
-				a.r[t.Priority] = r
+				a.R[t.Priority] = r
 				return a.fail(res, t.Priority, true)
 			}
-			if r != a.r[t.Priority] {
-				a.r[t.Priority] = r
+			if r != a.R[t.Priority] {
+				a.R[t.Priority] = r
 				changed = true
 			}
 		}
@@ -257,34 +299,19 @@ func (a *refAnalyzer) run() *Result {
 	for _, t := range a.ts.Tasks {
 		res.Tasks = append(res.Tasks, TaskResult{
 			Name: t.Name, Priority: t.Priority, Core: t.Core,
-			WCRT: a.r[t.Priority], Deadline: t.Deadline,
+			WCRT: a.R[t.Priority], Deadline: t.Deadline,
 			Schedulable: true, Verified: true,
 		})
 	}
 	return res
 }
 
-// AnalyzeReference runs the retained naive implementation of the full
-// analysis. It exists as the oracle of the differential test and always
+// AnalyzeReference runs the full analysis on the oracle. It always
 // returns results bit-identical to Analyze.
 func AnalyzeReference(ts *taskmodel.TaskSet, cfg Config) (*Result, error) {
-	if err := ts.Validate(); err != nil {
+	a, err := NewReference(ts, cfg)
+	if err != nil {
 		return nil, err
-	}
-	if err := cfg.ValidateFor(ts.Platform); err != nil {
-		return nil, err
-	}
-	if cfg.MaxOuterIterations == 0 {
-		cfg.MaxOuterIterations = 64
-	}
-	a := &refAnalyzer{
-		ts:        ts,
-		cfg:       cfg,
-		r:         make(map[int]taskmodel.Time, len(ts.Tasks)),
-		gammaMemo: make(map[refGammaKey]int64),
-	}
-	for _, t := range ts.Tasks {
-		a.r[t.Priority] = t.PD + taskmodel.Time(t.MD)*ts.Platform.DMem
 	}
 	return a.run(), nil
 }

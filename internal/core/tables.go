@@ -62,7 +62,7 @@ type row struct {
 	hp []taskRef
 	// hep[y] lists hep(i) ∩ Γ_y per core (BAO, Eq. 3).
 	hep [][]taskRef
-	// lp[y] lists lp(i) ∩ Γ_y per core (BAOLow, Eq. 7).
+	// lp[y] lists lp(i) ∩ Γ_y per core (BAO_low, Eq. 7).
 	lp [][]taskRef
 	// hasLP reports a lower-priority task on i's own core (the +1 term).
 	hasLP bool
