@@ -404,3 +404,181 @@ func TestHotOpsDoNotAllocate(t *testing.T) {
 	}
 	_ = sink
 }
+
+// model is the reference semantics of a Set: a plain map of members.
+type model map[int]bool
+
+func randomMembers(r *rand.Rand, n int) model {
+	m := model{}
+	density := r.Float64()
+	for i := 0; i < n; i++ {
+		if r.Float64() < density {
+			m[i] = true
+		}
+	}
+	return m
+}
+
+func (m model) set(n int) Set {
+	s := New(n)
+	for i := range m {
+		s.Add(i)
+	}
+	return s
+}
+
+// matches reports whether s holds exactly the members of m: membership
+// of every index, the count (which also catches stray bits past the
+// capacity) and the ascending index list.
+func (m model) matches(s Set, n int) bool {
+	if s.Capacity() != n || s.Count() != len(m) || s.IsEmpty() != (len(m) == 0) {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		if s.Contains(i) != m[i] {
+			return false
+		}
+	}
+	idx := s.Indices()
+	for k := 1; k < len(idx); k++ {
+		if idx[k-1] >= idx[k] {
+			return false
+		}
+	}
+	return len(idx) == len(m)
+}
+
+func (m model) union(o model) model {
+	out := model{}
+	for i := range m {
+		out[i] = true
+	}
+	for i := range o {
+		out[i] = true
+	}
+	return out
+}
+
+func (m model) intersect(o model) model {
+	out := model{}
+	for i := range m {
+		if o[i] {
+			out[i] = true
+		}
+	}
+	return out
+}
+
+func (m model) difference(o model) model {
+	out := model{}
+	for i := range m {
+		if !o[i] {
+			out[i] = true
+		}
+	}
+	return out
+}
+
+// TestDenseMatchesMapModel checks the dense set against a map model on
+// random sets, including capacities at and around the 64-bit word
+// boundaries, for the set algebra, the counting queries and the
+// in-place operations; the operands of the allocating operations must
+// come out unchanged.
+func TestDenseMatchesMapModel(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	sizes := []int{0, 1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 256}
+	for iter := 0; iter < 600; iter++ {
+		n := sizes[iter%len(sizes)]
+		if iter >= 2*len(sizes) {
+			n = r.Intn(300)
+		}
+		ma, mb := randomMembers(r, n), randomMembers(r, n)
+		if r.Intn(4) == 0 {
+			mb = ma.union(model{})
+		}
+		a, b := ma.set(n), mb.set(n)
+		fail := func(op string) {
+			t.Fatalf("n=%d %s: a=%v b=%v", n, op, a, b)
+		}
+
+		if !ma.union(mb).matches(a.Union(b), n) {
+			fail("Union")
+		}
+		if !ma.intersect(mb).matches(a.Intersect(b), n) {
+			fail("Intersect")
+		}
+		if !ma.difference(mb).matches(a.Difference(b), n) {
+			fail("Difference")
+		}
+		if !ma.matches(a, n) || !mb.matches(b, n) {
+			fail("operands mutated")
+		}
+		both := len(ma.intersect(mb))
+		if a.IntersectCount(b) != both || a.Intersects(b) != (both > 0) {
+			fail("IntersectCount")
+		}
+		if a.Count() != len(ma) {
+			fail("Count")
+		}
+		sameMembers := len(ma) == len(mb) && both == len(ma)
+		if a.Equal(b) != sameMembers || !a.Equal(a.Clone()) {
+			fail("Equal")
+		}
+		if a.SubsetOf(b) != (both == len(ma)) {
+			fail("SubsetOf")
+		}
+
+		in := a.Clone()
+		in.IntersectInPlace(b)
+		if !ma.intersect(mb).matches(in, n) {
+			fail("IntersectInPlace")
+		}
+		in.CopyFrom(a)
+		if !ma.matches(in, n) {
+			fail("CopyFrom")
+		}
+		in.DifferenceInPlace(b)
+		if !ma.difference(mb).matches(in, n) {
+			fail("DifferenceInPlace")
+		}
+		in.UnionInPlace(b)
+		if !ma.difference(mb).union(mb).matches(in, n) {
+			fail("UnionInPlace")
+		}
+		in.Clear()
+		if !(model{}).matches(in, n) {
+			fail("Clear")
+		}
+		if !ma.matches(a, n) || !mb.matches(b, n) {
+			fail("in-place op mutated its argument")
+		}
+	}
+}
+
+// --- micro-benchmarks ---------------------------------------------------------
+
+func benchSets(nsets, footprint int) (Set, Set) {
+	r := rand.New(rand.NewSource(1))
+	var ai, bi []int
+	for i := 0; i < footprint; i++ {
+		ai = append(ai, r.Intn(nsets))
+		bi = append(bi, r.Intn(nsets))
+	}
+	return FromSorted(nsets, ai), FromSorted(nsets, bi)
+}
+
+func BenchmarkDenseIntersectCount(b *testing.B) {
+	da, db := benchSets(1024, 40)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = da.IntersectCount(db)
+	}
+}
+
+func BenchmarkDenseUnion(b *testing.B) {
+	da, db := benchSets(1024, 40)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = da.Union(db)
+	}
+}
