@@ -81,9 +81,9 @@ func TestCompareFlagsSlowdownAndAllocs(t *testing.T) {
 		Benchmark{Name: "BenchmarkZeroAlloc-8", NsPerOp: 50, AllocsPerOp: 0},
 	)
 	cur := report(
-		Benchmark{Name: "BenchmarkA-8", NsPerOp: 120},                          // +20% > 10%
-		Benchmark{Name: "BenchmarkZeroAlloc-8", NsPerOp: 50, AllocsPerOp: 2},   // allocs appeared
-		Benchmark{Name: "BenchmarkNew-8", NsPerOp: 999},                        // no baseline: informational
+		Benchmark{Name: "BenchmarkA-8", NsPerOp: 120},                        // +20% > 10%
+		Benchmark{Name: "BenchmarkZeroAlloc-8", NsPerOp: 50, AllocsPerOp: 2}, // allocs appeared
+		Benchmark{Name: "BenchmarkNew-8", NsPerOp: 999},                      // no baseline: informational
 	)
 	var buf bytes.Buffer
 	n, err := compare(old, cur, 10, &buf)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/server"
 )
@@ -147,6 +149,78 @@ func TestRunShardResumeMergeEquivalence(t *testing.T) {
 	}
 }
 
+// cancelOnProgress is a stderr that cancels the run at its first
+// progress line, i.e. right after the first analyzed task set.
+type cancelOnProgress struct{ cancel context.CancelFunc }
+
+func (c cancelOnProgress) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("analyzed")) {
+		c.cancel()
+	}
+	return len(p), nil
+}
+
+// TestRunExtensionShardResumeMerge: the extension studies run on the
+// same sweep runtime as the figures, so extgen split into two shards
+// and merged, and extgen interrupted after its first task set and
+// resumed, must both reproduce the single-process CSV byte for byte.
+func TestRunExtensionShardResumeMerge(t *testing.T) {
+	base := []string{"-exp", "extgen", "-tasksets", "3"}
+	runOK := func(ctx context.Context, stderr io.Writer, args ...string) int {
+		t.Helper()
+		var out bytes.Buffer
+		code, err := run(ctx, append(append([]string(nil), base...), args...), &out, stderr)
+		if err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		return code
+	}
+	refDir := t.TempDir()
+	if code := runOK(context.Background(), io.Discard, "-outdir", refDir, "-progress=false"); code != 0 {
+		t.Fatalf("reference run: code=%d", code)
+	}
+	want := readFile(t, filepath.Join(refDir, "extgen.csv"))
+
+	ckpt := t.TempDir()
+	for _, sh := range []string{"0/2", "1/2"} {
+		if code := runOK(context.Background(), io.Discard, "-shard", sh, "-checkpoint", ckpt, "-progress=false"); code != 0 {
+			t.Fatalf("shard %s: code=%d", sh, code)
+		}
+	}
+	mergeDir := t.TempDir()
+	var out, errOut bytes.Buffer
+	if code, err := run(context.Background(), []string{"merge", "-outdir", mergeDir,
+		filepath.Join(ckpt, "extgen.shard0of2.json"), filepath.Join(ckpt, "extgen.shard1of2.json")},
+		&out, &errOut); err != nil || code != 0 {
+		t.Fatalf("merge: code=%d err=%v (stderr: %s)", code, err, errOut.String())
+	}
+	if got := readFile(t, filepath.Join(mergeDir, "extgen.csv")); got != want {
+		t.Errorf("merged extgen CSV differs from the single-process run:\n--- merged ---\n%s--- single ---\n%s", got, want)
+	}
+
+	ckpt = t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if code := runOK(ctx, cancelOnProgress{cancel}, "-workers", "1", "-checkpoint", ckpt); code != 130 {
+		t.Fatalf("interrupted run: code=%d, want 130", code)
+	}
+	log, err := checkpoint.Open(filepath.Join(ckpt, "extgen.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2 period modes x 20 utilizations x 3 sets.
+	if n := log.Len(); n == 0 || n >= 120 {
+		t.Fatalf("interrupted run checkpointed %d of 120 jobs, want a strict partial", n)
+	}
+	resDir := t.TempDir()
+	if code := runOK(context.Background(), io.Discard, "-checkpoint", ckpt, "-resume", "-outdir", resDir, "-progress=false"); code != 0 {
+		t.Fatalf("resumed run: code=%d", code)
+	}
+	if got := readFile(t, filepath.Join(resDir, "extgen.csv")); got != want {
+		t.Errorf("resumed extgen CSV differs from the single-process run:\n--- resumed ---\n%s--- single ---\n%s", got, want)
+	}
+}
+
 // swapHandler lets fleet listeners exist (URLs known) before the
 // servers that need the full member list are built.
 type swapHandler struct{ h atomic.Value }
@@ -222,8 +296,8 @@ func TestRunClusterFlagValidation(t *testing.T) {
 	}
 }
 
-// TestRunShardFlagValidation: -shard without -checkpoint and
-// unshardable studies under -shard are both flag errors.
+// TestRunShardFlagValidation: -shard without -checkpoint and a
+// non-sweep study under -shard are both flag errors.
 func TestRunShardFlagValidation(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code, err := run(context.Background(),
@@ -231,9 +305,9 @@ func TestRunShardFlagValidation(t *testing.T) {
 		t.Errorf("-shard without -checkpoint: code=%d err=%v, want an error", code, err)
 	}
 	if code, err := run(context.Background(),
-		[]string{"-exp", "extcrpd", "-shard", "0/2", "-checkpoint", t.TempDir()},
+		[]string{"-exp", "exthier", "-shard", "0/2", "-checkpoint", t.TempDir()},
 		&out, &errOut); err == nil || code != 1 {
-		t.Errorf("unshardable study under -shard: code=%d err=%v, want an error", code, err)
+		t.Errorf("non-sweep study under -shard: code=%d err=%v, want an error", code, err)
 	}
 	if code, err := run(context.Background(),
 		[]string{"-exp", "fig2a", "-shard", "2/2", "-checkpoint", t.TempDir()},

@@ -1,6 +1,7 @@
-// Command experiments regenerates the paper's evaluation: Table I and
-// Figures 2a-2c and 3a-3d. Each study renders an ASCII chart to
-// stdout and, with -outdir, writes the underlying data as CSV.
+// Command experiments regenerates the paper's evaluation — Table I and
+// Figures 2a-2c and 3a-3d — plus the repository's extension studies.
+// Each study renders an ASCII chart to stdout and, with -outdir,
+// writes the underlying data as CSV.
 //
 // Usage:
 //
@@ -103,32 +104,32 @@ func (p *progressPrinter) clear() {
 	}
 }
 
-// studyFn names one runnable study. Shardable studies go through the
-// parallel sweep engine and support -shard/-checkpoint/-resume; the
-// serial extension studies do not.
+// studyFn names one runnable sweep study. Every one of them goes
+// through the parallel sweep runtime and supports
+// -shard/-checkpoint/-resume/-cluster; table1, extassoc and exthier
+// are not sweeps and are run separately.
 type studyFn struct {
-	name      string
-	shardable bool
-	run       func(experiments.Options) (*experiments.Study, error)
+	name string
+	run  func(experiments.Options) (*experiments.Study, error)
 }
 
 // studies is the registry shared by the regular run and the merge
 // mode (which looks studies up by the name recorded in checkpoint
 // headers).
 var studies = []studyFn{
-	{"fig2a", true, func(o experiments.Options) (*experiments.Study, error) { return experiments.Fig2(core.FP, o) }},
-	{"fig2b", true, func(o experiments.Options) (*experiments.Study, error) { return experiments.Fig2(core.RR, o) }},
-	{"fig2c", true, func(o experiments.Options) (*experiments.Study, error) { return experiments.Fig2(core.TDMA, o) }},
-	{"fig2reg", true, func(o experiments.Options) (*experiments.Study, error) { return experiments.Fig2(core.Regulated, o) }},
-	{"fig2par", true, func(o experiments.Options) (*experiments.Study, error) { return experiments.Fig2(core.ParAware, o) }},
-	{"fig3a", true, experiments.Fig3a},
-	{"fig3b", true, experiments.Fig3b},
-	{"fig3c", true, experiments.Fig3c},
-	{"fig3d", true, experiments.Fig3d},
-	{"extcrpd", false, experiments.ExtCRPD},
-	{"extpartition", false, experiments.ExtPartition},
-	{"extopa", false, experiments.ExtOPA},
-	{"extgen", false, experiments.ExtGen},
+	{"fig2a", func(o experiments.Options) (*experiments.Study, error) { return experiments.Fig2(core.FP, o) }},
+	{"fig2b", func(o experiments.Options) (*experiments.Study, error) { return experiments.Fig2(core.RR, o) }},
+	{"fig2c", func(o experiments.Options) (*experiments.Study, error) { return experiments.Fig2(core.TDMA, o) }},
+	{"fig2reg", func(o experiments.Options) (*experiments.Study, error) { return experiments.Fig2(core.Regulated, o) }},
+	{"fig2par", func(o experiments.Options) (*experiments.Study, error) { return experiments.Fig2(core.ParAware, o) }},
+	{"fig3a", experiments.Fig3a},
+	{"fig3b", experiments.Fig3b},
+	{"fig3c", experiments.Fig3c},
+	{"fig3d", experiments.Fig3d},
+	{"extcrpd", experiments.ExtCRPD},
+	{"extpartition", experiments.ExtPartition},
+	{"extopa", experiments.ExtOPA},
+	{"extgen", experiments.ExtGen},
 }
 
 func studyByName(name string) (studyFn, bool) {
@@ -148,15 +149,15 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment: table1, fig2a, fig2b, fig2c, fig3a, fig3b, fig3c, fig3d, extassoc, exthier, extcrpd, extpartition, extopa, extgen, or all")
+	exp := fs.String("exp", "all", "experiment: table1, fig2a, fig2b, fig2c, fig2reg, fig2par, fig3a, fig3b, fig3c, fig3d, extassoc, exthier, extcrpd, extpartition, extopa, extgen, or all")
 	tasksets := fs.Int("tasksets", 200, "random task sets per data point (paper: 1000)")
 	seed := fs.Int64("seed", 2020, "base RNG seed")
 	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	outdir := fs.String("outdir", "", "directory for CSV output (optional)")
-	shardS := fs.String("shard", "", "run only shard i of n sweep jobs, e.g. 0/4 (requires -checkpoint)")
+	shardS := fs.String("shard", "", "run only shard i of n sweep jobs, e.g. 0/4; applies to every study but table1, extassoc and exthier (requires -checkpoint)")
 	clusterS := fs.String("cluster", "", "comma-separated buscond fleet URLs; sweep analyses are served by the fleet, one checkpoint shard per node (requires -checkpoint, excludes -shard)")
 	clusterTimeout := fs.Duration("cluster-timeout", 0, "per-request deadline against the fleet (0 = 1m)")
-	ckptDir := fs.String("checkpoint", "", "directory for per-study checkpoint files (enables resumable sweeps)")
+	ckptDir := fs.String("checkpoint", "", "directory for per-study checkpoint files (enables resumable sweeps; every study but table1, extassoc and exthier)")
 	resume := fs.Bool("resume", false, "reload existing checkpoints and skip completed jobs")
 	ckptEvery := fs.Int("checkpoint-every", 64, "flush the checkpoint every K completed jobs")
 	ckptInterval := fs.Duration("checkpoint-interval", 5*time.Second, "flush the checkpoint at least this often")
@@ -235,19 +236,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	want := func(name string) bool { return *exp == "all" || strings.EqualFold(*exp, name) }
 	ran := false
 	interrupted := false
-	// Sharding and checkpointing only make sense for the parallel
-	// sweep studies; under -exp all the others are skipped with a
-	// note, and asking for one explicitly is an error.
+	// Sharding and checkpointing only make sense for the sweep
+	// studies; under -exp all the three non-sweep ones are skipped
+	// with a note, and asking for one explicitly is an error.
 	restricted := shard.Sharded() || *ckptDir != ""
 	skipUnshardable := func(name string) (skip bool, err error) {
 		if !restricted {
 			return false, nil
 		}
 		if *exp == "all" {
-			fmt.Fprintf(stderr, "experiments: skipping %s: -shard/-checkpoint only apply to the fig2*/fig3* sweeps\n", name)
+			fmt.Fprintf(stderr, "experiments: skipping %s: -shard/-checkpoint only apply to the sweep studies (fig2*, fig3*, ext{crpd,partition,opa,gen})\n", name)
 			return true, nil
 		}
-		return false, fmt.Errorf("%s does not support -shard/-checkpoint (only the fig2*/fig3* sweeps do)", name)
+		return false, fmt.Errorf("%s is not a sweep and does not support -shard/-checkpoint", name)
 	}
 
 	if want("table1") {
@@ -276,13 +277,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 			// A previous study was cut short; skip the rest outright.
 			break
 		}
-		if !s.shardable {
-			if skip, err := skipUnshardable(s.name); err != nil {
-				return 1, err
-			} else if skip {
-				continue
-			}
-		}
 		ran = true
 		if fleet != nil {
 			code, rerr := runClusterStudy(s, opts, fleet, clusterCfg{
@@ -301,7 +295,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		runOpts.Shard = shard
 
 		var log *checkpoint.Log
-		if s.shardable && *ckptDir != "" {
+		if *ckptDir != "" {
 			hdr := checkpoint.Header{Study: s.name, Seed: *seed, TaskSets: *tasksets, Shard: shard}
 			path := checkpointPath(*ckptDir, s.name, shard)
 			var err error
@@ -401,7 +395,7 @@ type clusterCfg struct {
 	outdir   string
 }
 
-// runClusterStudy runs one shardable study against a buscond fleet.
+// runClusterStudy runs one sweep study against a buscond fleet.
 // The job list is split into one shard per fleet node; each shard runs
 // with the fleet client as its analysis engine (experiments
 // Options.Analyze) and its own checkpoint file, exactly as n separate

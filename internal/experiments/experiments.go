@@ -8,6 +8,10 @@
 //	Fig. 3a-d — weighted schedulability vs. number of cores, memory
 //	            reload time d_mem, cache size, and RR/TDMA slot size
 //
+// The schedulability extensions in extensions.go (CRPD approach,
+// partitioning, priority assignment, generation methodology) run on
+// the same sweep runtime as the figures.
+//
 // Each study returns a chart-ready Study that can be rendered as ASCII
 // art or CSV. Absolute counts depend on the number of random task sets
 // per data point (1000 in the paper; configurable here) — the
@@ -44,20 +48,19 @@ var ErrInterrupted = errors.New("experiments: interrupted")
 
 // Variant names one analysis configuration plotted as a series.
 type Variant struct {
-	Name        string
-	Arbiter     core.Arbiter
-	Persistence bool
+	Name string
+	core.Config
 }
 
 // PaperVariants returns the six analyses the paper compares.
 func PaperVariants() []Variant {
 	return []Variant{
-		{"FP", core.FP, false},
-		{"FP-CP", core.FP, true},
-		{"RR", core.RR, false},
-		{"RR-CP", core.RR, true},
-		{"TDMA", core.TDMA, false},
-		{"TDMA-CP", core.TDMA, true},
+		{"FP", core.Config{Arbiter: core.FP}},
+		{"FP-CP", core.Config{Arbiter: core.FP, Persistence: true}},
+		{"RR", core.Config{Arbiter: core.RR}},
+		{"RR-CP", core.Config{Arbiter: core.RR, Persistence: true}},
+		{"TDMA", core.Config{Arbiter: core.TDMA}},
+		{"TDMA-CP", core.Config{Arbiter: core.TDMA, Persistence: true}},
 	}
 }
 
@@ -80,10 +83,10 @@ type Options struct {
 	// Observer receives telemetry from every analysis and from the
 	// benchmark-pool memoization. nil disables instrumentation.
 	Observer *telemetry.Observer
-	// Context, when non-nil, interrupts the sweep: in-flight analyses
-	// finish, the remaining ones are skipped, and the study is built
-	// from the samples gathered so far and returned together with
-	// ErrInterrupted.
+	// Context, when non-nil, interrupts the sweep: in-flight
+	// generation and analyses finish, the remaining ones are skipped,
+	// and the study is built from the samples gathered so far and
+	// returned together with ErrInterrupted.
 	Context context.Context
 	// Progress, when non-nil, is called after every analyzed task set.
 	// Called from worker goroutines; must be safe for concurrent use.
@@ -213,19 +216,9 @@ func (s *Study) Chart() *textplot.Chart {
 func variantConfigs(variants []Variant) []core.Config {
 	cfgs := make([]core.Config, len(variants))
 	for i, v := range variants {
-		cfgs[i] = core.Config{Arbiter: v.Arbiter, Persistence: v.Persistence}
+		cfgs[i] = v.Config
 	}
 	return cfgs
-}
-
-// verdicts analyses one task set under every variant. AnalyzeAll
-// shares the precomputed interference tables across the variants.
-func verdicts(ts *taskmodel.TaskSet, variants []Variant) (map[string]bool, error) {
-	all, err := core.AnalyzeAll(ts, variantConfigs(variants))
-	if err != nil {
-		return nil, err
-	}
-	return verdictMap(all, variants), nil
 }
 
 // verdictMap folds per-config results into the name→schedulable map
@@ -248,9 +241,8 @@ type pointJob struct {
 
 // sample is the outcome of one analysed task set.
 type sample struct {
-	pointIdx int
-	util     float64 // actual average per-core utilization
-	verdict  map[string]bool
+	util    float64 // actual average per-core utilization
+	verdict map[string]bool
 }
 
 // jobState classifies a sweep job against the checkpoint and shard.
@@ -295,23 +287,27 @@ func (c *ckptSink) firstErr() error {
 // sweep generates and analyses TaskSetsPerPoint task sets for every
 // (point, utilization) combination. configAt returns the generation
 // config and benchmark pool for a point index; utilsFor returns the
-// utilizations swept at that point.
+// utilizations swept at that point. prepare, when non-nil, sees every
+// freshly generated set before analysis: it returns the set to analyze
+// (the same one, possibly modified, or a replacement), or nil to mark
+// the set infeasible — a sample on which every variant is
+// unschedulable, recorded without analysis. A prepare error aborts
+// the sweep like a generation error.
 //
-// With a canceled context the partial per-point samples are returned
-// together with ErrInterrupted; callers fold them into a partial
-// study. Jobs recorded in opts.Checkpoint are reused, jobs owned by
-// other shards are skipped, and a panicking job degrades into a
-// recorded per-job failure instead of killing the sweep.
+// With a canceled context generation and analysis stop handing out
+// jobs, and the partial per-point samples are returned together with
+// ErrInterrupted; callers fold them into a partial study. Jobs
+// recorded in opts.Checkpoint are reused, jobs owned by other shards
+// are skipped, and a panicking job degrades into a recorded per-job
+// failure instead of killing the sweep.
 func sweep(opts Options, numPoints int,
 	configAt func(point int) (taskgen.Config, []taskgen.TaskParams, error),
 	utilsFor func(point int) []float64,
 	variants []Variant,
+	prepare func(point int, ts *taskmodel.TaskSet) (*taskmodel.TaskSet, error),
 ) ([][]sample, error) {
 	opts = opts.withDefaults()
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx := opts.ctx()
 
 	cfgs := make([]taskgen.Config, numPoints)
 	pools := make([][]taskgen.TaskParams, numPoints)
@@ -356,12 +352,14 @@ func sweep(opts Options, numPoints int,
 		}
 	}
 
-	// Phase 1: generate the pending jobs' task sets. Generation is
-	// cheap next to analysis but still worth parallelising. A panic in
-	// the generator is isolated to its job (generation is
-	// deterministic, so there is no point retrying); a plain error
-	// still aborts the sweep — it signals a misconfiguration that
-	// would fail every job.
+	// Phase 1: generate (and prepare) the pending jobs' task sets.
+	// Generation is cheap next to analysis but still worth
+	// parallelising. A panic in the generator or in prepare is
+	// isolated to its job (both are deterministic, so there is no
+	// point retrying); a plain error still aborts the sweep — it
+	// signals a misconfiguration that would fail every job. An
+	// infeasible set is recorded on the spot and folds like a
+	// checkpointed job.
 	sets := make([]*taskmodel.TaskSet, len(jobs))
 	genErrs := make([]error, len(jobs))
 	var wg sync.WaitGroup
@@ -388,12 +386,26 @@ func sweep(opts Options, numPoints int,
 							fail(ji, fmt.Errorf("generation panic: %v", r), debug.Stack())
 						}
 					}()
-					sets[ji], genErrs[ji] = taskgen.Generate(cfg, pools[j.pointIdx], rand.New(rand.NewSource(seed)))
+					ts, err := taskgen.Generate(cfg, pools[j.pointIdx], rand.New(rand.NewSource(seed)))
+					if err == nil && prepare != nil {
+						gen := ts
+						if ts, err = prepare(j.pointIdx, gen); err == nil && ts == nil {
+							states[ji] = jobRecorded
+							records[ji] = checkpoint.Record{Key: keys[ji], Util: perCoreUtil(gen)}
+							sink.add(records[ji])
+						}
+					}
+					sets[ji], genErrs[ji] = ts, err
 				}()
 			}
 		}()
 	}
+	cut := false
 	for ji := range jobs {
+		if ctx.Err() != nil {
+			cut = true
+			break
+		}
 		if states[ji] == jobPending {
 			work <- ji
 		}
@@ -436,7 +448,7 @@ func sweep(opts Options, numPoints int,
 		if res != nil {
 			sink.add(checkpoint.Record{
 				Key:      keys[ji],
-				Util:     sets[ji].TotalUtilization() / float64(cfgs[jobs[ji].pointIdx].Platform.NumCores),
+				Util:     perCoreUtil(sets[ji]),
 				Verdicts: verdictMap(res, variants),
 			})
 		}
@@ -470,7 +482,7 @@ func sweep(opts Options, numPoints int,
 			fail(reqJob[ri], err, stack)
 		},
 	})
-	interrupted := false
+	interrupted := cut
 	if err != nil {
 		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			return nil, err
@@ -496,9 +508,8 @@ func sweep(opts Options, numPoints int,
 				continue
 			}
 			perPoint[j.pointIdx] = append(perPoint[j.pointIdx], sample{
-				pointIdx: j.pointIdx,
-				util:     records[ji].Util,
-				verdict:  records[ji].Verdicts,
+				util:    records[ji].Util,
+				verdict: records[ji].Verdicts,
 			})
 		default:
 			ri := jobReq[ji]
@@ -507,9 +518,8 @@ func sweep(opts Options, numPoints int,
 				continue
 			}
 			perPoint[j.pointIdx] = append(perPoint[j.pointIdx], sample{
-				pointIdx: j.pointIdx,
-				util:     sets[ji].TotalUtilization() / float64(cfgs[j.pointIdx].Platform.NumCores),
-				verdict:  verdictMap(all[ri], variants),
+				util:    perCoreUtil(sets[ji]),
+				verdict: verdictMap(all[ri], variants),
 			})
 		}
 	}
@@ -519,22 +529,10 @@ func sweep(opts Options, numPoints int,
 	return perPoint, nil
 }
 
-// progressTracker folds serial per-sample verdicts into ProgressUpdate
-// callbacks for the extension studies, which do not go through sweep.
-type progressTracker struct {
-	opts            Options
-	total, done     int
-	verdicts, sched int64
-}
-
-func (p *progressTracker) add(verdicts, sched int64) {
-	if p.opts.Progress == nil {
-		return
-	}
-	p.done++
-	p.verdicts += verdicts
-	p.sched += sched
-	p.opts.Progress(ProgressUpdate{Done: p.done, Total: p.total, Verdicts: p.verdicts, Schedulable: p.sched})
+// perCoreUtil is a generated set's actual average per-core
+// utilization, the x-weight of its sample.
+func perCoreUtil(ts *taskmodel.TaskSet) float64 {
+	return ts.TotalUtilization() / float64(ts.Platform.NumCores)
 }
 
 // weightedSeries reduces sweep samples to one weighted-schedulability

@@ -1,16 +1,16 @@
 package experiments
 
 import (
-	"math/rand"
-
 	"repro/internal/core"
 	"repro/internal/crpd"
 	"repro/internal/opa"
 	"repro/internal/partition"
-	"repro/internal/stats"
 	"repro/internal/taskgen"
-	"repro/internal/textplot"
+	"repro/internal/taskmodel"
 )
+
+// rrCP is the single analysis the placement and priority studies run.
+var rrCP = []Variant{{"RR-CP", core.Config{Arbiter: core.RR, Persistence: true}}}
 
 // ExtCRPD is the CRPD-approach ablation called out in DESIGN.md §5:
 // the RR-CP analysis re-run with each preemption-delay bound, plotted
@@ -19,165 +19,33 @@ import (
 // choice.
 func ExtCRPD(opts Options) (*Study, error) {
 	opts = opts.withDefaults()
-	approaches := []crpd.Approach{crpd.ECBUnion, crpd.UCBOnly, crpd.ECBOnly, crpd.UCBUnion, crpd.Combined}
-	pool, err := taskgen.PoolFromSuiteObs(opts.Base.Platform.Cache, opts.Observer)
-	if err != nil {
-		return nil, err
+	var variants []Variant
+	for _, ap := range []crpd.Approach{crpd.ECBUnion, crpd.UCBOnly, crpd.ECBOnly, crpd.UCBUnion, crpd.Combined} {
+		variants = append(variants, Variant{ap.String(), core.Config{Arbiter: core.RR, Persistence: true, CRPD: ap}})
 	}
-
-	series := make([]textplot.Series, len(approaches))
-	anaCfgs := make([]core.Config, len(approaches))
-	for i, ap := range approaches {
-		series[i] = textplot.Series{Name: ap.String(), Values: make([]float64, len(opts.Utilizations))}
-		anaCfgs[i] = core.Config{Arbiter: core.RR, Persistence: true, CRPD: ap}
-	}
-
-	ctx := opts.ctx()
-	prog := &progressTracker{opts: opts, total: len(opts.Utilizations) * opts.TaskSetsPerPoint}
-	interrupted := false
-	for ui, util := range opts.Utilizations {
-		obs := make([][]stats.Observation, len(approaches))
-		for sample := 0; sample < opts.TaskSetsPerPoint; sample++ {
-			if ctx.Err() != nil {
-				interrupted = true
-				break
-			}
-			seed := seedFor(opts.Seed, sample, util)
-			cfg := opts.Base
-			cfg.CoreUtilization = util
-			ts, err := taskgen.Generate(cfg, pool, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				return nil, err
-			}
-			u := ts.TotalUtilization() / float64(cfg.Platform.NumCores)
-			all, err := core.AnalyzeAllOpts(ts, anaCfgs, core.Options{Observer: opts.Observer})
-			if err != nil {
-				return nil, err
-			}
-			var sched int64
-			for ai, res := range all {
-				obs[ai] = append(obs[ai], stats.Observation{Utilization: u, Schedulable: res.Schedulable})
-				if res.Schedulable {
-					sched++
-				}
-			}
-			prog.add(int64(len(all)), sched)
-		}
-		for ai := range approaches {
-			series[ai].Values[ui] = stats.Ratio(obs[ai])
-		}
-		if interrupted {
-			break
-		}
-	}
-
-	var retErr error
-	if interrupted {
-		retErr = ErrInterrupted
-	}
-	return &Study{
-		ID:               "ExtCRPD",
-		Title:            "RR-CP schedulability per CRPD approach",
-		XLabel:           "per-core utilization",
-		YLabel:           "schedulable ratio",
-		Xs:               opts.Utilizations,
-		Series:           series,
-		TaskSetsPerPoint: opts.TaskSetsPerPoint,
-	}, retErr
+	return ratioStudy(opts, "ExtCRPD", "RR-CP schedulability per CRPD approach",
+		[]group{{cfg: opts.Base}}, variants, false)
 }
 
 // ExtPartition compares task-to-core placement heuristics under the
 // RR-CP analysis: the paper's fixed per-core split versus
 // utilization-driven first-fit/worst-fit and the cache-aware placement
 // that avoids PCB/ECB collisions (which directly shrink CPRO and
-// CRPD).
+// CRPD). A set a heuristic cannot place counts as unschedulable.
 func ExtPartition(opts Options) (*Study, error) {
 	opts = opts.withDefaults()
-	heuristics := []partition.Heuristic{partition.FirstFit, partition.WorstFit, partition.CacheAware}
-	pool, err := taskgen.PoolFromSuiteObs(opts.Base.Platform.Cache, opts.Observer)
-	if err != nil {
-		return nil, err
-	}
-
-	names := append([]string{"paper-split"}, make([]string, len(heuristics))...)
-	for i, h := range heuristics {
-		names[i+1] = h.String()
-	}
-	series := make([]textplot.Series, len(names))
-	for i, n := range names {
-		series[i] = textplot.Series{Name: n, Values: make([]float64, len(opts.Utilizations))}
-	}
-	anaCfg := core.Config{Arbiter: core.RR, Persistence: true}
-
-	ctx := opts.ctx()
-	prog := &progressTracker{opts: opts, total: len(opts.Utilizations) * opts.TaskSetsPerPoint}
-	interrupted := false
-	for ui, util := range opts.Utilizations {
-		obs := make([][]stats.Observation, len(names))
-		for sample := 0; sample < opts.TaskSetsPerPoint; sample++ {
-			if ctx.Err() != nil {
-				interrupted = true
-				break
-			}
-			seed := seedFor(opts.Seed, sample, util)
-			cfg := opts.Base
-			cfg.CoreUtilization = util
-			ts, err := taskgen.Generate(cfg, pool, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				return nil, err
-			}
-			u := ts.TotalUtilization() / float64(cfg.Platform.NumCores)
-
-			var verdicts, sched int64
-			// 0: the generator's own per-core split.
-			res, err := core.AnalyzeOpts(ts, anaCfg, core.Options{Observer: opts.Observer})
-			if err != nil {
-				return nil, err
-			}
-			obs[0] = append(obs[0], stats.Observation{Utilization: u, Schedulable: res.Schedulable})
-			verdicts++
-			if res.Schedulable {
-				sched++
-			}
-
-			for hi, h := range heuristics {
-				verdict := false
-				if err := partition.Assign(ts, h); err == nil {
-					res, err := core.AnalyzeOpts(ts, anaCfg, core.Options{Observer: opts.Observer})
-					if err != nil {
-						return nil, err
-					}
-					verdict = res.Schedulable
+	groups := []group{{label: "paper-split", cfg: opts.Base}}
+	for _, h := range []partition.Heuristic{partition.FirstFit, partition.WorstFit, partition.CacheAware} {
+		groups = append(groups, group{label: h.String(), cfg: opts.Base,
+			prepare: func(ts *taskmodel.TaskSet) (*taskmodel.TaskSet, error) {
+				if partition.Assign(ts, h) != nil {
+					return nil, nil
 				}
-				obs[hi+1] = append(obs[hi+1], stats.Observation{Utilization: u, Schedulable: verdict})
-				verdicts++
-				if verdict {
-					sched++
-				}
-			}
-			prog.add(verdicts, sched)
-		}
-		for i := range names {
-			series[i].Values[ui] = stats.Ratio(obs[i])
-		}
-		if interrupted {
-			break
-		}
+				return ts, nil
+			}})
 	}
-
-	var retErr error
-	if interrupted {
-		retErr = ErrInterrupted
-	}
-	return &Study{
-		ID:               "ExtPartition",
-		Title:            "RR-CP schedulability per partitioning heuristic",
-		XLabel:           "per-core utilization",
-		YLabel:           "schedulable ratio",
-		Xs:               opts.Utilizations,
-		Series:           series,
-		TaskSetsPerPoint: opts.TaskSetsPerPoint,
-	}, retErr
+	return ratioStudy(opts, "ExtPartition", "RR-CP schedulability per partitioning heuristic",
+		groups, rrCP, false)
 }
 
 // ExtOPA compares priority-assignment policies under the RR-CP
@@ -186,75 +54,23 @@ func ExtPartition(opts Options) (*Study, error) {
 // any assignment that works, including DM itself.
 func ExtOPA(opts Options) (*Study, error) {
 	opts = opts.withDefaults()
-	pool, err := taskgen.PoolFromSuiteObs(opts.Base.Platform.Cache, opts.Observer)
-	if err != nil {
-		return nil, err
-	}
-	anaCfg := core.Config{Arbiter: core.RR, Persistence: true}
-	series := []textplot.Series{
-		{Name: "DM", Values: make([]float64, len(opts.Utilizations))},
-		{Name: "OPA", Values: make([]float64, len(opts.Utilizations))},
-	}
-	ctx := opts.ctx()
-	prog := &progressTracker{opts: opts, total: len(opts.Utilizations) * opts.TaskSetsPerPoint}
-	interrupted := false
-	for ui, util := range opts.Utilizations {
-		var dmObs, opaObs []stats.Observation
-		for sample := 0; sample < opts.TaskSetsPerPoint; sample++ {
-			if ctx.Err() != nil {
-				interrupted = true
-				break
-			}
-			seed := seedFor(opts.Seed, sample, util)
-			cfg := opts.Base
-			cfg.CoreUtilization = util
-			ts, err := taskgen.Generate(cfg, pool, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				return nil, err
-			}
-			u := ts.TotalUtilization() / float64(cfg.Platform.NumCores)
-			res, err := core.AnalyzeOpts(ts, anaCfg, core.Options{Observer: opts.Observer})
-			if err != nil {
-				return nil, err
-			}
-			dmObs = append(dmObs, stats.Observation{Utilization: u, Schedulable: res.Schedulable})
-			opaVerdict := res.Schedulable // DM success is an OPA witness
-			if !opaVerdict {
-				r, err := opa.Assign(ts, anaCfg)
-				if err != nil {
-					return nil, err
-				}
-				opaVerdict = r.Schedulable
-			}
-			opaObs = append(opaObs, stats.Observation{Utilization: u, Schedulable: opaVerdict})
-			var sched int64
-			if res.Schedulable {
-				sched++
-			}
-			if opaVerdict {
-				sched++
-			}
-			prog.add(2, sched)
+	cfg := rrCP[0].Config
+	withOPA := func(ts *taskmodel.TaskSet) (*taskmodel.TaskSet, error) {
+		res, err := core.AnalyzeOpts(ts, cfg, core.Options{Observer: opts.Observer})
+		if err != nil {
+			return nil, err
 		}
-		series[0].Values[ui] = stats.Ratio(dmObs)
-		series[1].Values[ui] = stats.Ratio(opaObs)
-		if interrupted {
-			break
+		if res.Schedulable {
+			return ts, nil // DM success is an OPA witness
 		}
+		r, err := opa.Assign(ts, cfg)
+		if err != nil || !r.Schedulable {
+			return nil, err
+		}
+		return opa.ApplyTo(ts, r)
 	}
-	var retErr error
-	if interrupted {
-		retErr = ErrInterrupted
-	}
-	return &Study{
-		ID:               "ExtOPA",
-		Title:            "RR-CP schedulability: deadline monotonic vs Audsley OPA",
-		XLabel:           "per-core utilization",
-		YLabel:           "schedulable ratio",
-		Xs:               opts.Utilizations,
-		Series:           series,
-		TaskSetsPerPoint: opts.TaskSetsPerPoint,
-	}, retErr
+	return ratioStudy(opts, "ExtOPA", "RR-CP schedulability: deadline monotonic vs Audsley OPA",
+		[]group{{label: "DM", cfg: opts.Base}, {label: "OPA", cfg: opts.Base, prepare: withOPA}}, rrCP, false)
 }
 
 // ExtGen checks the evaluation's robustness to the task-generation
@@ -264,97 +80,10 @@ func ExtOPA(opts Options) (*Study, error) {
 // dominance must be visible under both.
 func ExtGen(opts Options) (*Study, error) {
 	opts = opts.withDefaults()
-	pool, err := taskgen.PoolFromSuiteObs(opts.Base.Platform.Cache, opts.Observer)
-	if err != nil {
-		return nil, err
-	}
-	modes := []struct {
-		label string
-		mode  taskgen.PeriodMode
-	}{
-		{"paper", taskgen.PeriodFromDemand},
-		{"loguni", taskgen.PeriodLogUniform},
-	}
-	type variant struct {
-		name string
-		cfg  core.Config
-	}
-	anas := []variant{
-		{"RR", core.Config{Arbiter: core.RR}},
-		{"RR-CP", core.Config{Arbiter: core.RR, Persistence: true}},
-	}
-	anaCfgs := make([]core.Config, len(anas))
-	for ai, a := range anas {
-		anaCfgs[ai] = a.cfg
-	}
-	var series []textplot.Series
-	for range modes {
-		for range anas {
-			series = append(series, textplot.Series{Values: make([]float64, len(opts.Utilizations))})
-		}
-	}
-	si := 0
-	for mi := range modes {
-		for ai := range anas {
-			series[si].Name = modes[mi].label + "/" + anas[ai].name
-			si++
-		}
-	}
-
-	ctx := opts.ctx()
-	prog := &progressTracker{opts: opts, total: len(opts.Utilizations) * opts.TaskSetsPerPoint}
-	interrupted := false
-	for ui, util := range opts.Utilizations {
-		obs := make([][]stats.Observation, len(series))
-		for sample := 0; sample < opts.TaskSetsPerPoint; sample++ {
-			if ctx.Err() != nil {
-				interrupted = true
-				break
-			}
-			seed := seedFor(opts.Seed, sample, util)
-			var verdicts, sched int64
-			for mi, m := range modes {
-				cfg := opts.Base
-				cfg.CoreUtilization = util
-				cfg.Periods = m.mode
-				ts, err := taskgen.Generate(cfg, pool, rand.New(rand.NewSource(seed)))
-				if err != nil {
-					return nil, err
-				}
-				u := ts.TotalUtilization() / float64(cfg.Platform.NumCores)
-				all, err := core.AnalyzeAllOpts(ts, anaCfgs, core.Options{Observer: opts.Observer})
-				if err != nil {
-					return nil, err
-				}
-				for ai, res := range all {
-					idx := mi*len(anas) + ai
-					obs[idx] = append(obs[idx], stats.Observation{Utilization: u, Schedulable: res.Schedulable})
-					verdicts++
-					if res.Schedulable {
-						sched++
-					}
-				}
-			}
-			prog.add(verdicts, sched)
-		}
-		for i := range series {
-			series[i].Values[ui] = stats.Ratio(obs[i])
-		}
-		if interrupted {
-			break
-		}
-	}
-	var retErr error
-	if interrupted {
-		retErr = ErrInterrupted
-	}
-	return &Study{
-		ID:               "ExtGen",
-		Title:            "generation-methodology robustness (RR vs RR-CP)",
-		XLabel:           "per-core utilization",
-		YLabel:           "schedulable ratio",
-		Xs:               opts.Utilizations,
-		Series:           series,
-		TaskSetsPerPoint: opts.TaskSetsPerPoint,
-	}, retErr
+	paper, loguni := opts.Base, opts.Base
+	paper.Periods = taskgen.PeriodFromDemand
+	loguni.Periods = taskgen.PeriodLogUniform
+	return ratioStudy(opts, "ExtGen", "generation-methodology robustness (RR vs RR-CP)",
+		[]group{{label: "paper", cfg: paper}, {label: "loguni", cfg: loguni}},
+		[]Variant{{"RR", core.Config{Arbiter: core.RR}}, rrCP[0]}, false)
 }

@@ -116,7 +116,7 @@ func TestDefaultUtilizations(t *testing.T) {
 	}
 }
 
-// TestVerdictsMatchesAnalyze: the shared-tables verdicts helper must
+// TestVerdictsMatchesAnalyze: the shared-tables verdict fold must
 // agree with independent per-variant analyses.
 func TestVerdictsMatchesAnalyze(t *testing.T) {
 	base := taskgen.DefaultConfig()
@@ -132,12 +132,13 @@ func TestVerdictsMatchesAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	variants := PaperVariants()
-	got, err := verdicts(ts, variants)
+	all, err := core.AnalyzeAll(ts, variantConfigs(variants))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := verdictMap(all, variants)
 	for _, v := range variants {
-		res, err := core.Analyze(ts, core.Config{Arbiter: v.Arbiter, Persistence: v.Persistence})
+		res, err := core.Analyze(ts, v.Config)
 		if err != nil {
 			t.Fatal(err)
 		}

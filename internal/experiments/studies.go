@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/taskgen"
+	"repro/internal/taskmodel"
 	"repro/internal/textplot"
 )
 
@@ -15,47 +16,6 @@ import (
 // the persistence-oblivious analysis, its persistence-aware
 // counterpart, and the perfect-bus upper bound.
 func Fig2(arb core.Arbiter, opts Options) (*Study, error) {
-	opts = opts.withDefaults()
-	variants := []Variant{
-		{arb.String(), arb, false},
-		{arb.String() + "-CP", arb, true},
-		{"Perfect", core.Perfect, true},
-	}
-	pool, err := taskgen.PoolFromSuiteObs(opts.Base.Platform.Cache, opts.Observer)
-	if err != nil {
-		return nil, err
-	}
-	perPoint, sweepErr := sweep(opts, len(opts.Utilizations),
-		func(int) (taskgen.Config, []taskgen.TaskParams, error) { return opts.Base, pool, nil },
-		func(p int) []float64 { return opts.Utilizations[p : p+1] },
-		variants,
-	)
-	if sweepErr != nil && !errors.Is(sweepErr, ErrInterrupted) {
-		return nil, sweepErr
-	}
-
-	series := make([]textplot.Series, len(variants))
-	intervals := map[string][2][]float64{}
-	for vi, v := range variants {
-		vals := make([]float64, len(perPoint))
-		lo := make([]float64, len(perPoint))
-		hi := make([]float64, len(perPoint))
-		for p, samples := range perPoint {
-			sched := 0
-			for _, s := range samples {
-				if s.verdict[v.Name] {
-					sched++
-				}
-			}
-			if n := len(samples); n > 0 {
-				vals[p] = float64(sched) / float64(n)
-				lo[p], hi[p] = stats.WilsonInterval(sched, n, 1.96)
-			}
-		}
-		series[vi] = textplot.Series{Name: v.Name, Values: vals}
-		intervals[v.Name] = [2][]float64{lo, hi}
-	}
-
 	id := map[core.Arbiter]string{
 		core.FP: "Fig2a", core.RR: "Fig2b", core.TDMA: "Fig2c",
 		core.Regulated: "Fig2reg", core.ParAware: "Fig2par",
@@ -63,16 +23,97 @@ func Fig2(arb core.Arbiter, opts Options) (*Study, error) {
 	if id == "" {
 		return nil, fmt.Errorf("experiments: Fig2 undefined for arbiter %v", arb)
 	}
-	return &Study{
+	opts = opts.withDefaults()
+	return ratioStudy(opts, id, fmt.Sprintf("schedulable task sets vs core utilization (%s bus)", arb),
+		[]group{{cfg: opts.Base}},
+		[]Variant{
+			{arb.String(), core.Config{Arbiter: arb}},
+			{arb.String() + "-CP", core.Config{Arbiter: arb, Persistence: true}},
+			{"Perfect", core.Config{Arbiter: core.Perfect, Persistence: true}},
+		}, true)
+}
+
+// group is one block of a ratio study's sweep points: the whole
+// utilization grid, generated from cfg and passed through prepare
+// (see sweep; nil analyzes the sets as generated).
+type group struct {
+	label   string
+	cfg     taskgen.Config
+	prepare func(*taskmodel.TaskSet) (*taskmodel.TaskSet, error)
+}
+
+// ratioStudy runs a schedulable-ratio study: it sweeps every group
+// over opts.Utilizations — one sweep point per (group, utilization),
+// group-major — and folds each variant's verdicts into the ratio of
+// schedulable sets per point. Series are group-major as well, named
+// "label/variant", or only the label when there is a single variant,
+// or only the variant when the group is unlabelled. With intervals
+// the 95% Wilson bounds of every ratio are attached. Every group
+// draws from opts.Base's benchmark pool, so group configs may change
+// anything but the cache geometry.
+func ratioStudy(opts Options, id, title string, groups []group, variants []Variant, intervals bool) (*Study, error) {
+	pool, err := taskgen.PoolFromSuiteObs(opts.Base.Platform.Cache, opts.Observer)
+	if err != nil {
+		return nil, err
+	}
+	nu := len(opts.Utilizations)
+	perPoint, sweepErr := sweep(opts, len(groups)*nu,
+		func(p int) (taskgen.Config, []taskgen.TaskParams, error) { return groups[p/nu].cfg, pool, nil },
+		func(p int) []float64 { return opts.Utilizations[p%nu : p%nu+1] },
+		variants,
+		func(p int, ts *taskmodel.TaskSet) (*taskmodel.TaskSet, error) {
+			if prepare := groups[p/nu].prepare; prepare != nil {
+				return prepare(ts)
+			}
+			return ts, nil
+		},
+	)
+	if sweepErr != nil && !errors.Is(sweepErr, ErrInterrupted) {
+		return nil, sweepErr
+	}
+
+	st := &Study{
 		ID:               id,
-		Title:            fmt.Sprintf("schedulable task sets vs core utilization (%s bus)", arb),
+		Title:            title,
 		XLabel:           "per-core utilization",
 		YLabel:           "schedulable ratio",
 		Xs:               opts.Utilizations,
-		Series:           series,
-		Intervals:        intervals,
 		TaskSetsPerPoint: opts.TaskSetsPerPoint,
-	}, sweepErr
+	}
+	if intervals {
+		st.Intervals = map[string][2][]float64{}
+	}
+	for gi, g := range groups {
+		for _, v := range variants {
+			name := v.Name
+			if g.label != "" {
+				name = g.label
+				if len(variants) > 1 {
+					name += "/" + v.Name
+				}
+			}
+			vals := make([]float64, nu)
+			lo := make([]float64, nu)
+			hi := make([]float64, nu)
+			for ui, samples := range perPoint[gi*nu : (gi+1)*nu] {
+				sched := 0
+				for _, s := range samples {
+					if s.verdict[v.Name] {
+						sched++
+					}
+				}
+				if n := len(samples); n > 0 {
+					vals[ui] = float64(sched) / float64(n)
+					lo[ui], hi[ui] = stats.WilsonInterval(sched, n, 1.96)
+				}
+			}
+			st.Series = append(st.Series, textplot.Series{Name: name, Values: vals})
+			if intervals {
+				st.Intervals[name] = [2][]float64{lo, hi}
+			}
+		}
+	}
+	return st, sweepErr
 }
 
 // weightedStudy runs a Fig. 3 style experiment: for every value of the
@@ -85,7 +126,7 @@ func weightedStudy(opts Options, id, title, xlabel string, xs []float64,
 	variants := PaperVariants()
 	perPoint, sweepErr := sweep(opts, len(xs), configAt,
 		func(int) []float64 { return opts.Utilizations },
-		variants,
+		variants, nil,
 	)
 	if sweepErr != nil && !errors.Is(sweepErr, ErrInterrupted) {
 		return nil, sweepErr
