@@ -135,7 +135,7 @@ func BenchmarkAblationCRPD(b *testing.B) {
 	for _, ap := range []crpd.Approach{crpd.ECBUnion, crpd.UCBOnly, crpd.ECBOnly, crpd.UCBUnion, crpd.Combined} {
 		b.Run(ap.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true, CRPD: ap}); err != nil {
+				if _, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true, CRPD: ap}, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -151,7 +151,7 @@ func BenchmarkAblationCPRO(b *testing.B) {
 	for _, ap := range []persistence.CPROApproach{persistence.Union, persistence.MultisetUnion, persistence.FullReload, persistence.None} {
 		b.Run(ap.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true, CPRO: ap}); err != nil {
+				if _, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true, CPRO: ap}, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -171,7 +171,7 @@ func BenchmarkAblationArbiter(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := core.Analyze(ts, core.Config{Arbiter: arb, Persistence: p}); err != nil {
+					if _, err := core.Analyze(ts, core.Config{Arbiter: arb, Persistence: p}, core.Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -197,7 +197,7 @@ func BenchmarkRegulatedSweep(b *testing.B) {
 				plat := ts.Platform
 				plat.RegBudget, plat.RegPeriod = q, p
 				point := buscon.NewTaskSet(plat, ts.Tasks)
-				if _, err := core.Analyze(point, core.Config{Arbiter: core.Regulated, Persistence: true}); err != nil {
+				if _, err := core.Analyze(point, core.Config{Arbiter: core.Regulated, Persistence: true}, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -321,7 +321,7 @@ func BenchmarkSensitivity(b *testing.B) {
 	cfg := core.Config{Arbiter: core.RR, Persistence: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.MaxDMem(ts, cfg, 1<<14); err != nil {
+		if _, err := core.MaxDMem(ts, cfg, 1<<14, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

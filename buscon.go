@@ -114,7 +114,7 @@ func DefaultPlatform() Platform {
 // the given configuration and reports per-task bounds and overall
 // schedulability.
 func Analyze(ts *TaskSet, cfg AnalysisConfig) (*Result, error) {
-	return core.Analyze(ts, cfg)
+	return core.Analyze(ts, cfg, core.Options{})
 }
 
 // BatchRequest pairs one task set with the configurations to analyse
@@ -134,7 +134,7 @@ func AnalyzeAll(ts *TaskSet, cfgs []AnalysisConfig) ([]*Result, error) {
 // (workers <= 0 selects GOMAXPROCS) and returns one result slice per
 // request, in request order. The experiment sweeps are built on it.
 func AnalyzeBatch(reqs []BatchRequest, workers int) ([][]*Result, error) {
-	return core.AnalyzeBatch(reqs, workers)
+	return core.AnalyzeBatchOpts(reqs, core.BatchOptions{Workers: workers})
 }
 
 // NewTaskSet wraps tasks and a platform, sorting by priority.
@@ -173,14 +173,14 @@ func Explain(ts *TaskSet, cfg AnalysisConfig, priority int) (*Explanation, error
 // remains schedulable under cfg (0 if unschedulable even at 1); see
 // internal/core for search details.
 func MaxDMem(ts *TaskSet, cfg AnalysisConfig, limit Time) (Time, error) {
-	return core.MaxDMem(ts, cfg, limit)
+	return core.MaxDMem(ts, cfg, limit, core.Options{})
 }
 
 // CriticalScaling returns the smallest period/deadline scaling factor
 // at which the task set is schedulable under cfg: below 1 quantifies
 // headroom, above 1 the missing slack.
 func CriticalScaling(ts *TaskSet, cfg AnalysisConfig, tol float64) (float64, error) {
-	return core.CriticalScaling(ts, cfg, tol)
+	return core.CriticalScaling(ts, cfg, tol, core.Options{})
 }
 
 // SimulationResult summarises a validation run of the cycle-accurate

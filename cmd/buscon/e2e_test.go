@@ -115,6 +115,33 @@ func TestRunTraceEmitsValidChromeTrace(t *testing.T) {
 			t.Errorf("telemetry output missing %q:\n%s", want, errOut.String())
 		}
 	}
+
+	// Each task's traced fixed point ends at the WCRT column printed on
+	// stdout (task, core, prio, T=D, WCRT, WCRT(other), verdict).
+	wcrt := map[string]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 7 && f[6] == "OK" {
+			wcrt[f[2]] = f[4]
+		}
+	}
+	_, traces, _ := strings.Cut(errOut.String(), "convergence traces:\n")
+	lines := strings.Split(traces, "\n")
+	traced := 0
+	for i, line := range lines {
+		_, prio, ok := strings.Cut(line, " (prio ")
+		if !ok || i+2 >= len(lines) {
+			continue
+		}
+		prio = strings.TrimSuffix(prio, "):")
+		steps := strings.Split(strings.TrimSpace(lines[i+2]), " -> ")
+		if last := strings.Fields(steps[len(steps)-1])[0]; last != wcrt[prio] {
+			t.Errorf("prio %s: trace ends at %s, WCRT column %q", prio, last, wcrt[prio])
+		}
+		traced++
+	}
+	if traced == 0 || traced != len(wcrt) {
+		t.Errorf("%d traces for %d printed WCRTs:\n%s", traced, len(wcrt), errOut.String())
+	}
 }
 
 // TestRunTraceReconcilesOnDeadlineMiss drives an unschedulable input

@@ -9,8 +9,9 @@
 // Task set files are produced by cmd/gentaskset or by hand (see
 // internal/taskmodel's JSON format). Telemetry flags: -metrics prints
 // analyzer counters, -trace FILE writes a Chrome trace-event JSON
-// viewable at ui.perfetto.dev, -convergence prints per-task iterate
-// chains, -v enables debug logging.
+// viewable at ui.perfetto.dev, -convergence prints each task's
+// fixed-point iterate chain (the trace of -explain), -v enables debug
+// logging.
 //
 // Ctrl-C interrupts the analysis between steps; the process exits
 // with code 130 (profiles and traces are still flushed).
@@ -102,7 +103,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON file (view at ui.perfetto.dev)")
 	metrics := fs.Bool("metrics", false, "print analyzer counters and histograms on exit")
-	convergence := fs.Bool("convergence", false, "print per-task convergence traces on exit")
+	convergence := fs.Bool("convergence", false, "print each task's fixed-point iterate chain to stderr")
 	verbose := fs.Bool("v", false, "enable debug logging")
 	if err := fs.Parse(args); err != nil {
 		return 1, err
@@ -111,7 +112,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	sess, err := telemetry.StartSession(telemetry.SessionOptions{
 		Tool:       "buscon",
 		CPUProfile: *cpuprofile, MemProfile: *memprofile,
-		TracePath: *tracePath, Metrics: *metrics, Convergence: *convergence,
+		TracePath: *tracePath, Metrics: *metrics,
 		Verbose: *verbose, Out: stderr,
 	})
 	if err != nil {
@@ -166,7 +167,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 
 	obs := sess.Observer()
 	cfg := core.Config{Arbiter: arb, Persistence: *persist, CRPD: crpdAp, CPRO: cproAp}
-	res, err := core.AnalyzeOpts(ts, cfg, core.Options{Observer: obs})
+	res, err := core.Analyze(ts, cfg, core.Options{Observer: obs})
 	if err != nil {
 		return 1, err
 	}
@@ -178,7 +179,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		}
 		otherCfg := cfg
 		otherCfg.Persistence = !cfg.Persistence
-		if other, err = core.AnalyzeOpts(ts, otherCfg, core.Options{Observer: obs}); err != nil {
+		if other, err = core.Analyze(ts, otherCfg, core.Options{Observer: obs}); err != nil {
 			return 1, err
 		}
 	}
@@ -242,6 +243,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		fmt.Fprintln(stdout)
 		if err := ex.Render(stdout); err != nil {
 			return 1, err
+		}
+	}
+	if *convergence {
+		fmt.Fprintln(stderr, "\nconvergence traces:")
+		for _, tr := range res.Tasks {
+			if canceled() {
+				return 130, nil
+			}
+			ex, err := core.Explain(ts, cfg, tr.Priority)
+			if err != nil {
+				return 1, err
+			}
+			fmt.Fprintf(stderr, "%s (prio %d):\n", ex.Task, ex.Priority)
+			if err := ex.RenderTrace(stderr); err != nil {
+				return 1, err
+			}
 		}
 	}
 	if !res.Schedulable {

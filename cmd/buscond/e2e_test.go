@@ -99,13 +99,13 @@ func TestRunServeCacheAndDrain(t *testing.T) {
 		}
 	}
 
-	direct, err := core.AnalyzeBatch([]core.BatchRequest{{
+	direct, err := core.AnalyzeBatchOpts([]core.BatchRequest{{
 		TS: fixtures.Fig1TaskSet(),
 		Cfgs: []core.Config{
 			{Arbiter: core.FP, Persistence: true},
 			{Arbiter: core.RR, Persistence: true},
 		},
-	}}, 1)
+	}}, core.BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestRunServeCacheAndDrain(t *testing.T) {
 		t.Error("first request reported cached")
 	}
 	if !bytes.Equal(res1, want) {
-		t.Errorf("served results differ from direct AnalyzeBatch:\nserver: %s\ndirect: %s", res1, want)
+		t.Errorf("served results differ from direct AnalyzeBatchOpts:\nserver: %s\ndirect: %s", res1, want)
 	}
 	cached2, res2 := post()
 	if !cached2 {

@@ -112,16 +112,16 @@ rows:
 			if persistence {
 				name += "-CP"
 			}
-			res, err := core.AnalyzeOpts(ts, cfg, copts)
+			res, err := core.Analyze(ts, cfg, copts)
 			if err != nil {
 				return 1, err
 			}
-			maxD, err := core.MaxDMemOpts(ts, cfg, taskmodel.Time(*limit), copts)
+			maxD, err := core.MaxDMem(ts, cfg, taskmodel.Time(*limit), copts)
 			if err != nil {
 				return 1, err
 			}
 			scaling := "-"
-			if k, err := core.CriticalScalingOpts(ts, cfg, *tol, copts); err == nil {
+			if k, err := core.CriticalScaling(ts, cfg, *tol, copts); err == nil {
 				scaling = fmt.Sprintf("%.3f", k)
 			}
 			fmt.Fprintf(tw, "%s\t%v\t%d\t%s\n", name, res.Schedulable, maxD, scaling)

@@ -155,13 +155,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	var base, aware *core.Result
 	interrupted := canceled()
 	if !interrupted {
-		if base, err = core.Analyze(ts, core.Config{Arbiter: arbiter, Persistence: false}); err != nil {
+		if base, err = core.Analyze(ts, core.Config{Arbiter: arbiter, Persistence: false}, core.Options{}); err != nil {
 			return 1, err
 		}
 		interrupted = canceled()
 	}
 	if !interrupted {
-		if aware, err = core.Analyze(ts, core.Config{Arbiter: arbiter, Persistence: true}); err != nil {
+		if aware, err = core.Analyze(ts, core.Config{Arbiter: arbiter, Persistence: true}, core.Options{}); err != nil {
 			return 1, err
 		}
 	}

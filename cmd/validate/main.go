@@ -148,7 +148,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 					if ana.Arbiter != p.arb {
 						continue
 					}
-					res, err := core.Analyze(ts, ana)
+					res, err := core.Analyze(ts, ana, core.Options{})
 					if err != nil {
 						return 1, err
 					}

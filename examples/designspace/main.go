@@ -47,7 +47,7 @@ func main() {
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "  placement\tschedulable\tPCB/ECB overlap score\tload spread")
 	report := func(name string) (bool, error) {
-		res, err := core.Analyze(ts, anaCfg)
+		res, err := core.Analyze(ts, anaCfg, core.Options{})
 		if err != nil {
 			return false, err
 		}
@@ -78,7 +78,7 @@ func main() {
 
 	// 2. Priority assignment: DM vs OPA.
 	fmt.Println("2. priority assignment on the cache-aware placement:")
-	dmRes, err := core.Analyze(ts, anaCfg)
+	dmRes, err := core.Analyze(ts, anaCfg, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,15 +98,15 @@ func main() {
 
 	// 3. Margin of the chosen design.
 	fmt.Println("3. sensitivity of the chosen design:")
-	maxD, err := core.MaxDMem(working, anaCfg, 1<<16)
+	maxD, err := core.MaxDMem(working, anaCfg, 1<<16, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  largest schedulable d_mem:        %d (platform uses %d)\n", maxD, working.Platform.DMem)
-	if k, err := core.CriticalScaling(working, anaCfg, 1e-3); err == nil {
+	if k, err := core.CriticalScaling(working, anaCfg, 1e-3, core.Options{}); err == nil {
 		fmt.Printf("  critical period scaling:          %.3f (headroom below 1.0)\n", k)
 	}
-	baseK, errB := core.CriticalScaling(working, core.Config{Arbiter: core.RR}, 1e-3)
+	baseK, errB := core.CriticalScaling(working, core.Config{Arbiter: core.RR}, 1e-3, core.Options{})
 	if errB == nil {
 		fmt.Printf("  same metric without persistence: %.3f\n", baseK)
 	}

@@ -96,7 +96,7 @@ func main() {
 		label string
 		ts    *taskmodel.TaskSet
 	}{{"L1 only", setL1}, {"L1 + L2", setL2}} {
-		res, err := core.Analyze(cse.ts, core.Config{Arbiter: core.RR, Persistence: true})
+		res, err := core.Analyze(cse.ts, core.Config{Arbiter: core.RR, Persistence: true}, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func main() {
 
 	fmt.Println("\nstep 2: WCRT analysis on the RR bus")
 	for _, persistence := range []bool{false, true} {
-		res, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: persistence})
+		res, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: persistence}, core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	aware, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true})
+	aware, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true}, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 
 	"repro/internal/crpd"
@@ -319,7 +318,7 @@ func (a *Analyzer) ResponseTime(i int) (taskmodel.Time, bool) {
 	}
 	obs := a.obs
 	if obs == nil {
-		r, ok, _, _ := a.responseTime(ii)
+		r, ok, _, _ := a.responseTime(ii, nil)
 		return r, ok
 	}
 	obs.Add(telemetry.CtrTaskAnalyses, 1)
@@ -327,7 +326,7 @@ func (a *Analyzer) ResponseTime(i int) (taskmodel.Time, bool) {
 	if obs.Tracing() {
 		sp = obs.Span("task "+a.tab.tasks[ii].Name, "task")
 	}
-	r, ok, iters, jumps := a.responseTime(ii)
+	r, ok, iters, jumps := a.responseTime(ii, nil)
 	obs.Add(telemetry.CtrInnerIterations, iters)
 	obs.Add(telemetry.CtrBreakpointJumps, jumps)
 	obs.Observe(telemetry.HistInnerIters, iters)
@@ -340,8 +339,9 @@ func (a *Analyzer) ResponseTime(i int) (taskmodel.Time, bool) {
 // responseTime is the ResponseTime body for the task at table index
 // ii, additionally reporting the number of inner iterates and whether
 // the loop terminated via the breakpoint jump — the telemetry
-// wrapper's raw material.
-func (a *Analyzer) responseTime(ii int) (taskmodel.Time, bool, int64, int64) {
+// wrapper's raw material. A non-nil trace receives each iterate with
+// its dominant term, up to maxTraceSteps; only Explain passes one.
+func (a *Analyzer) responseTime(ii int, trace *[]TraceStep) (taskmodel.Time, bool, int64, int64) {
 	ti := a.tab.tasks[ii]
 	dmem := a.TS.Platform.DMem
 	r := ti.PD + taskmodel.Time(ti.MD)*dmem
@@ -356,14 +356,13 @@ func (a *Analyzer) responseTime(ii int) (taskmodel.Time, bool, int64, int64) {
 	}
 	a.fpReset(ii, ti.Core, r)
 	hasLP := a.tab.hasLP(ii)
-	conv := a.obs.ConvergenceOn()
 	var iters int64
 	for {
 		iters++
 		bt := a.fpTerms(ti.MD, hasLP)
 		next := ti.PD + a.fp.procSum + taskmodel.Time(bt.bat)*dmem
-		if conv {
-			a.obs.Convergence.Step(ti.Name, ti.Priority, int64(next), a.dominantTerm(bt))
+		if trace != nil && len(*trace) < maxTraceSteps {
+			*trace = append(*trace, TraceStep{R: max(next, r), Dominant: a.dominantTerm(bt)})
 		}
 		if next > ti.Deadline {
 			return next, false, iters, 0
@@ -391,35 +390,6 @@ func (a *Analyzer) responseTime(ii int) (taskmodel.Time, bool, int64, int64) {
 		a.fpAdvance(next)
 		r = next
 	}
-}
-
-// dominantTerm names the largest interference term of the recurrence
-// right-hand side at the current cursor state: the argmax over the
-// Explanation fields CorePreemption, BAS, Remote[y] (ascending y),
-// SlotWait and Blocking, in that order, the first maximum winning.
-// Access terms are compared in time units (accesses × d_mem) so they
-// are commensurable with the processor-preemption sum; the task's own
-// PD is demand, not interference, and is excluded; the own core's zero
-// remote entry never wins. Only called while recording convergence
-// traces.
-func (a *Analyzer) dominantTerm(bt batTerms) string {
-	dmem := int64(a.TS.Platform.DMem)
-	best, bestV := "CorePreemption", int64(a.fp.procSum)
-	if v := bt.bas * dmem; v > bestV {
-		best, bestV = "BAS", v
-	}
-	for y, acc := range bt.remote {
-		if v := acc * dmem; v > bestV {
-			best, bestV = "Remote["+strconv.Itoa(y)+"]", v
-		}
-	}
-	if v := bt.slotWait * dmem; v > bestV {
-		best, bestV = "SlotWait", v
-	}
-	if v := bt.blocking * dmem; v > bestV {
-		best = "Blocking"
-	}
-	return best
 }
 
 // perfectBusUtil is the long-run bus utilization the perfect-bus
@@ -540,9 +510,6 @@ func (a *Analyzer) run() *Result {
 			}
 			dirty[idx] = false
 			r, ok := a.ResponseTime(t.Priority)
-			if a.obs.ConvergenceOn() {
-				a.obs.Convergence.Finish(t.Name, t.Priority, ok)
-			}
 			if !ok {
 				a.R[t.Priority] = r
 				a.rd[idx] = r
@@ -620,14 +587,16 @@ func (a *Analyzer) fail(res *Result, failPrio int, proven bool) *Result {
 	return res
 }
 
-// Analyze is the one-call entry point: build an analyzer and run the
-// full fixed point.
-func Analyze(ts *taskmodel.TaskSet, cfg Config) (*Result, error) {
-	a, err := NewAnalyzer(ts, cfg)
-	if err != nil {
+// Analyze is the one-call entry point: run the full fixed point for one
+// configuration, reporting to opts.Observer and sharing opts.Memo.
+func Analyze(ts *taskmodel.TaskSet, cfg Config, opts Options) (*Result, error) {
+	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
-	return a.Run(), nil
+	if err := cfg.ValidateFor(ts.Platform); err != nil {
+		return nil, err
+	}
+	return analyzeChecked(ts, []Config{cfg}, opts.Observer, opts.Memo)[0], nil
 }
 
 // AnalyzeAll analyzes one task set under several configurations,
@@ -715,6 +684,12 @@ func analyzeAllObs(ts *taskmodel.TaskSet, cfgs []Config, obs *telemetry.Observer
 			return nil, fmt.Errorf("config %d: %w", i, err)
 		}
 	}
+	return analyzeChecked(ts, cfgs, obs, memo), nil
+}
+
+// analyzeChecked is analyzeAllObs after validation: ts and every
+// configuration have passed their checks.
+func analyzeChecked(ts *taskmodel.TaskSet, cfgs []Config, obs *telemetry.Observer, memo *MemoStore) []*Result {
 	n := len(ts.Tasks)
 	scratch := scratchPool.Get().(*analysisScratch)
 	defer scratchPool.Put(scratch)
@@ -743,9 +718,7 @@ func analyzeAllObs(ts *taskmodel.TaskSet, cfgs []Config, obs *telemetry.Observer
 		tbl, ok := tables[cfg.CRPD]
 		if !ok {
 			tbl = PrecomputeTables(ts, cfg.CRPD)
-			if memo != nil {
-				tbl.setMemo(memo)
-			}
+			tbl.setMemo(memo)
 			if first {
 				// The pooled curve array serves one Tables only — the
 				// backbones differ across CRPD approaches. Additional
@@ -765,5 +738,5 @@ func analyzeAllObs(ts *taskmodel.TaskSet, cfgs []Config, obs *telemetry.Observer
 		a.rd = scratch.takeRD(n)
 		out[i] = a.Run()
 	}
-	return out, nil
+	return out
 }

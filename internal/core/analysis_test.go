@@ -36,7 +36,7 @@ func twoTaskSet() *taskmodel.TaskSet {
 }
 
 func TestSingleCoreFPHandComputed(t *testing.T) {
-	res, err := Analyze(twoTaskSet(), Config{Arbiter: FP})
+	res, err := Analyze(twoTaskSet(), Config{Arbiter: FP}, Options{})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestSingleTaskAllArbiters(t *testing.T) {
 		Perfect: 50 + 10*3,
 	}
 	for arb, wantR := range want {
-		res, err := Analyze(ts, Config{Arbiter: arb})
+		res, err := Analyze(ts, Config{Arbiter: arb}, Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", arb, err)
 		}
@@ -93,7 +93,7 @@ func TestUnschedulableDetected(t *testing.T) {
 	ts := twoTaskSet()
 	ts.Tasks[1].Deadline = 30 // below the true response time 42
 	ts.Tasks[1].Period = 30
-	res, err := Analyze(ts, Config{Arbiter: FP})
+	res, err := Analyze(ts, Config{Arbiter: FP}, Options{})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestAbortVerdictsNeverMisleading(t *testing.T) {
 	ts.Tasks[1].Deadline = 30
 	ts.Tasks[1].Period = 30
 	for _, arb := range []Arbiter{FP, RR, TDMA} {
-		res, err := Analyze(ts, Config{Arbiter: arb})
+		res, err := Analyze(ts, Config{Arbiter: arb}, Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", arb, err)
 		}
@@ -150,7 +150,7 @@ func TestAbortVerdictsNeverMisleading(t *testing.T) {
 		}
 	}
 	// A successful analysis verifies everything.
-	res, err := Analyze(twoTaskSet(), Config{Arbiter: FP})
+	res, err := Analyze(twoTaskSet(), Config{Arbiter: FP}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestAbortVerdictsNeverMisleading(t *testing.T) {
 	}
 	// The MaxOuterIterations safety net proves nothing about anyone.
 	stressed := fixtures.Fig1TaskSet()
-	capped, err := Analyze(stressed, Config{Arbiter: RR, Persistence: true, MaxOuterIterations: 1})
+	capped, err := Analyze(stressed, Config{Arbiter: RR, Persistence: true, MaxOuterIterations: 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestPerfectBusGateOnBusUtilization(t *testing.T) {
 	// MD·dmem/T = 60*2/100 > 1 for τ1 alone.
 	ts.Tasks[0].MD = 60
 	ts.Tasks[0].MDr = 60
-	res, err := Analyze(ts, Config{Arbiter: Perfect})
+	res, err := Analyze(ts, Config{Arbiter: Perfect}, Options{})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -192,7 +192,7 @@ func TestPerfectBusGateOnBusUtilization(t *testing.T) {
 func TestAnalyzeRejectsInvalidTaskSet(t *testing.T) {
 	ts := twoTaskSet()
 	ts.Tasks[0].MDr = ts.Tasks[0].MD + 1
-	if _, err := Analyze(ts, Config{Arbiter: FP}); err == nil {
+	if _, err := Analyze(ts, Config{Arbiter: FP}, Options{}); err == nil {
 		t.Fatal("invalid task set accepted")
 	}
 }
@@ -306,11 +306,11 @@ func TestPersistenceAwareDominatesBaseline(t *testing.T) {
 	for _, util := range []float64{0.2, 0.4, 0.6} {
 		for _, ts := range randomTaskSets(t, 8, util) {
 			for _, arb := range []Arbiter{FP, RR, TDMA} {
-				base, err := Analyze(ts, Config{Arbiter: arb, Persistence: false})
+				base, err := Analyze(ts, Config{Arbiter: arb, Persistence: false}, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				aware, err := Analyze(ts, Config{Arbiter: arb, Persistence: true})
+				aware, err := Analyze(ts, Config{Arbiter: arb, Persistence: true}, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -335,12 +335,12 @@ func TestPerfectBusDominatesArbiters(t *testing.T) {
 		if ts.BusUtilization() > 1 {
 			continue
 		}
-		perfect, err := Analyze(ts, Config{Arbiter: Perfect, Persistence: true})
+		perfect, err := Analyze(ts, Config{Arbiter: Perfect, Persistence: true}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, arb := range []Arbiter{FP, RR, TDMA} {
-			res, err := Analyze(ts, Config{Arbiter: arb, Persistence: true})
+			res, err := Analyze(ts, Config{Arbiter: arb, Persistence: true}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -362,7 +362,7 @@ func TestPerfectBusDominatesArbiters(t *testing.T) {
 func TestWCRTAtLeastDemand(t *testing.T) {
 	for _, ts := range randomTaskSets(t, 6, 0.3) {
 		for _, arb := range []Arbiter{FP, RR, TDMA, Perfect} {
-			res, err := Analyze(ts, Config{Arbiter: arb, Persistence: true})
+			res, err := Analyze(ts, Config{Arbiter: arb, Persistence: true}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,11 +394,11 @@ func TestMultisetCPRODominatesUnion(t *testing.T) {
 	// must dominate the plain union configuration.
 	for _, ts := range randomTaskSets(t, 6, 0.4) {
 		for _, arb := range []Arbiter{FP, RR} {
-			union, err := Analyze(ts, Config{Arbiter: arb, Persistence: true, CPRO: persistence.Union})
+			union, err := Analyze(ts, Config{Arbiter: arb, Persistence: true, CPRO: persistence.Union}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			multi, err := Analyze(ts, Config{Arbiter: arb, Persistence: true, CPRO: persistence.MultisetUnion})
+			multi, err := Analyze(ts, Config{Arbiter: arb, Persistence: true, CPRO: persistence.MultisetUnion}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -428,9 +428,7 @@ func TestResponseTimeUnknownPriority(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if obs != nil {
-			a.SetObserver(obs)
-		}
+		a.obs = obs
 		if r, ok := a.ResponseTime(99); r != 0 || ok {
 			t.Errorf("observer %v: ResponseTime(99) = (%d, %v), want (0, false)", obs != nil, r, ok)
 		}

@@ -23,7 +23,6 @@ type BatchRequest struct {
 }
 
 // BatchOptions carries the cross-cutting knobs of AnalyzeBatchOpts.
-// The zero value reproduces AnalyzeBatch exactly.
 type BatchOptions struct {
 	// Workers sizes the pool; <= 0 selects GOMAXPROCS.
 	Workers int
@@ -125,19 +124,14 @@ func analyzeIsolated(req BatchRequest, label string, obs *telemetry.Observer, me
 	return res, nil
 }
 
-// AnalyzeBatch fans the requests across a worker pool and returns, per
-// request, the results in Cfgs order. Each request is processed by one
-// worker via AnalyzeAll, so the configurations of a request share
-// precomputed interference tables while distinct requests run in
-// parallel. workers <= 0 selects GOMAXPROCS. The first error aborts
-// nothing already in flight but is returned after all workers drain.
-func AnalyzeBatch(reqs []BatchRequest, workers int) ([][]*Result, error) {
-	return AnalyzeBatchOpts(reqs, BatchOptions{Workers: workers})
-}
-
-// AnalyzeBatchOpts is AnalyzeBatch with options. Analysis errors take
-// precedence over cancellation; on cancellation the partial results
-// are returned alongside the context's error.
+// AnalyzeBatchOpts fans the requests across a worker pool and returns,
+// per request, the results in Cfgs order. Each request is processed by
+// one worker as AnalyzeAll does, so the configurations of a request
+// share precomputed interference tables while distinct requests run in
+// parallel. The first error aborts nothing already in flight but is
+// returned after all workers drain. Analysis errors take precedence
+// over cancellation; on cancellation the partial results are returned
+// alongside the context's error.
 func AnalyzeBatchOpts(reqs []BatchRequest, opts BatchOptions) ([][]*Result, error) {
 	workers := opts.Workers
 	if workers <= 0 {

@@ -62,7 +62,7 @@ func benchAnalyze(b *testing.B, arb Arbiter) {
 			cfg := Config{Arbiter: arb, Persistence: p}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := Analyze(ts, cfg)
+				res, err := Analyze(ts, cfg, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -163,7 +163,7 @@ func deltaSweepPass(tb testing.TB, base *taskmodel.TaskSet, cfgs []Config, store
 		if st == nil {
 			st = NewMemoStore(0)
 		}
-		if _, err := AnalyzeAllOpts(ts, cfgs, Options{Memo: st, Observer: obs}); err != nil {
+		if _, err := analyzeAllObs(ts, cfgs, obs, st); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -696,8 +696,9 @@ type batTerms struct {
 // sums as the oracle's BAT does from its recomputed terms: Eq. (7) for
 // FP, Eq. (8) for RR, Eq. (9) for TDMA, own accesses only for Perfect,
 // and the per-core clamps of Regulated and ParAware. It is the engine's
-// one per-arbiter combine: the fixed point reads bat, dominantTerm
-// takes the argmax of the terms and Explain reports them.
+// one per-arbiter combine: the fixed point reads bat, and Explain
+// reports the terms and, per traced iterate, their argmax
+// (dominantTerm).
 func (a *Analyzer) fpTerms(md int64, hasLP bool) batTerms {
 	s := a.fp
 	bt := batTerms{bas: md + s.basSum}

@@ -94,7 +94,7 @@ func TestDifferentialTableVsReference(t *testing.T) {
 	aborts := 0
 	for si, ts := range differentialCorpus(t, count) {
 		for _, cfg := range cfgs {
-			got, err := Analyze(ts, cfg)
+			got, err := Analyze(ts, cfg, Options{})
 			if err != nil {
 				t.Fatalf("set %d %+v: Analyze: %v", si, cfg, err)
 			}
@@ -150,9 +150,9 @@ func TestDifferentialBatch(t *testing.T) {
 	for i, ts := range sets {
 		reqs[i] = BatchRequest{TS: ts, Cfgs: cfgs}
 	}
-	got, err := AnalyzeBatch(reqs, 4)
+	got, err := AnalyzeBatchOpts(reqs, BatchOptions{Workers: 4})
 	if err != nil {
-		t.Fatalf("AnalyzeBatch: %v", err)
+		t.Fatalf("AnalyzeBatchOpts: %v", err)
 	}
 	for i, ts := range sets {
 		for ci, cfg := range cfgs {
@@ -165,7 +165,7 @@ func TestDifferentialBatch(t *testing.T) {
 			}
 		}
 	}
-	if _, err := AnalyzeBatch(nil, 0); err != nil {
+	if _, err := AnalyzeBatchOpts(nil, BatchOptions{}); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 }
@@ -208,7 +208,7 @@ func TestDifferentialAbortVerdicts(t *testing.T) {
 	unverified := 0
 	for si, ts := range differentialCorpus(t, 60) {
 		for _, cfg := range cfgs {
-			got, err := Analyze(ts, cfg)
+			got, err := Analyze(ts, cfg, Options{})
 			if err != nil {
 				t.Fatalf("set %d %+v: Analyze: %v", si, cfg, err)
 			}

@@ -105,11 +105,11 @@ func TestWcoutClampedByDemand(t *testing.T) {
 
 func TestMaxOuterIterationsCapIsConservative(t *testing.T) {
 	ts := fixtures.Fig1TaskSet()
-	res, err := Analyze(ts, Config{Arbiter: RR, Persistence: true, MaxOuterIterations: 1})
+	res, err := Analyze(ts, Config{Arbiter: RR, Persistence: true, MaxOuterIterations: 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Analyze(ts, Config{Arbiter: RR, Persistence: true})
+	full, err := Analyze(ts, Config{Arbiter: RR, Persistence: true}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestDefaultConfig(t *testing.T) {
 
 func TestResultCompleteFlag(t *testing.T) {
 	ts := fixtures.Fig1TaskSet()
-	res, err := Analyze(ts, Config{Arbiter: RR})
+	res, err := Analyze(ts, Config{Arbiter: RR}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestResultCompleteFlag(t *testing.T) {
 	// Force a miss: shrink τ2's deadline below its isolated demand.
 	ts.Tasks[1].Deadline = 10
 	ts.Tasks[1].Period = 120
-	res, err = Analyze(ts, Config{Arbiter: RR})
+	res, err = Analyze(ts, Config{Arbiter: RR}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"text/tabwriter"
 
 	"repro/internal/taskmodel"
@@ -70,14 +71,41 @@ type Explanation struct {
 	// BAT is the total access bound; BusTime = BAT·d_mem.
 	BAT     int64
 	BusTime taskmodel.Time
+
+	// Iterations and Jumps count the inner fixed point's iterates and
+	// breakpoint jumps (0 or 1) when Explain replays it from the seed
+	// PD + MD·d_mem at the other tasks' final estimates; Trace holds the
+	// first maxTraceSteps iterates. All three stay zero when no fixed
+	// point ran (the Perfect bus-overload gate).
+	Iterations int64
+	Jumps      int64
+	Trace      []TraceStep
 }
+
+// TraceStep is one inner iterate: the value R the iteration holds after
+// the step, and the interference term that dominated f at the previous
+// iterate r. R is f(r), or r itself where f(r) < r: the iteration then
+// stops, since r remains a valid bound (see responseTime).
+type TraceStep struct {
+	R        taskmodel.Time
+	Dominant string
+}
+
+// maxTraceSteps bounds Explanation.Trace. The event-driven iteration
+// takes at most one step per breakpoint region, so real chains are far
+// shorter.
+const maxTraceSteps = 4096
 
 // Explain runs the full analysis and decomposes the bound of the task
 // with the given priority at its converged response time. The
 // decomposition is read from the engine itself: the level's cursors are
 // re-seated at the converged bound and split by the same per-arbiter
 // combine the fixed point iterated (fpTerms), so it adds up to BAT by
-// construction.
+// construction. The trace replays the engine's own responseTime from the
+// task's seed at the other tasks' final estimates. It ends at the
+// reported bound unless the outer loop kept a higher estimate from an
+// earlier round (the carry-out terms are not monotone in the remote
+// estimates) or, in an aborted run, the estimates are mid-iteration.
 func Explain(ts *taskmodel.TaskSet, cfg Config, prio int) (*Explanation, error) {
 	a, err := NewAnalyzer(ts, cfg)
 	if err != nil {
@@ -132,6 +160,12 @@ func Explain(ts *taskmodel.TaskSet, cfg Config, prio int) (*Explanation, error) 
 			ex.Remote = append(ex.Remote, RemoteCoreTerm{Core: y, Accesses: acc, Raw: s.baoSum[y]})
 		}
 	}
+	if res.OuterIterations > 0 {
+		// Restart from the seed; responseTime starts at the larger of the
+		// seed and the task's own estimate.
+		a.R[prio] = ti.PD + taskmodel.Time(ti.MD)*ts.Platform.DMem
+		_, _, ex.Iterations, ex.Jumps = a.responseTime(ii, &ex.Trace)
+	}
 	return ex, nil
 }
 
@@ -170,5 +204,66 @@ func (e *Explanation) Render(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "  blocking term: %d\n", e.Blocking)
 	fmt.Fprintf(w, "  BAT total accesses: %d  -> bus time %d\n", e.BAT, e.BusTime)
-	return nil
+	return e.RenderTrace(w)
+}
+
+// RenderTrace prints the replayed fixed point: the iterate count and
+// the iterate chain, naming the dominant term wherever it changes.
+// Without a fixed point (the Perfect bus-overload gate) it prints
+// nothing.
+func (e *Explanation) RenderTrace(w io.Writer) error {
+	if e.Iterations == 0 {
+		return nil
+	}
+	note := ""
+	if !e.Schedulable {
+		note = ", replayed at the abort-time estimates"
+	} else if last := e.Trace[len(e.Trace)-1].R; last != e.WCRT {
+		note = fmt.Sprintf(", replay from the seed ends at %d, below the bound", last)
+	}
+	if int64(len(e.Trace)) < e.Iterations {
+		note += fmt.Sprintf(", first %d shown", len(e.Trace))
+	}
+	fmt.Fprintf(w, "  fixed point: %d iterations, %d breakpoint jumps%s\n    ", e.Iterations, e.Jumps, note)
+	prev := ""
+	for i, st := range e.Trace {
+		if i > 0 {
+			fmt.Fprint(w, " -> ")
+		}
+		fmt.Fprint(w, st.R)
+		if st.Dominant != prev {
+			fmt.Fprintf(w, " [%s]", st.Dominant)
+			prev = st.Dominant
+		}
+	}
+	_, err := fmt.Fprintln(w)
+	return err
+}
+
+// dominantTerm names the largest interference term of the recurrence
+// right-hand side at the current cursor state: the argmax over the
+// Explanation fields CorePreemption, BAS, Remote[y] (ascending y),
+// SlotWait and Blocking, in that order, the first maximum winning.
+// Access terms are compared in time units (accesses × d_mem) so they
+// are commensurable with the processor-preemption sum; the task's own
+// PD is demand, not interference, and is excluded; the own core's zero
+// remote entry never wins. Only trace recording calls it.
+func (a *Analyzer) dominantTerm(bt batTerms) string {
+	dmem := int64(a.TS.Platform.DMem)
+	best, bestV := "CorePreemption", int64(a.fp.procSum)
+	if v := bt.bas * dmem; v > bestV {
+		best, bestV = "BAS", v
+	}
+	for y, acc := range bt.remote {
+		if v := acc * dmem; v > bestV {
+			best, bestV = "Remote["+strconv.Itoa(y)+"]", v
+		}
+	}
+	if v := bt.slotWait * dmem; v > bestV {
+		best, bestV = "SlotWait", v
+	}
+	if v := bt.blocking * dmem; v > bestV {
+		best = "Blocking"
+	}
+	return best
 }

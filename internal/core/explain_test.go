@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -97,7 +98,7 @@ func TestExplainDecompositionSumsToBAT(t *testing.T) {
 	// verified schedulable bound must cover its own terms.
 	for si, ts := range explainSets(t) {
 		for _, cfg := range explainConfigs() {
-			res, err := Analyze(ts, cfg)
+			res, err := Analyze(ts, cfg, Options{})
 			if err != nil {
 				t.Fatalf("set %d %+v: %v", si, cfg, err)
 			}
@@ -228,10 +229,10 @@ func explainGoldenPath() string {
 	return filepath.Join("testdata", "explain_golden.json")
 }
 
-// TestExplainGolden pins Explain field for field on every task of
-// explainSets under every explainConfigs configuration. Regenerate
-// deliberately with: go test ./internal/core -run TestExplainGolden -update
-func TestExplainGolden(t *testing.T) {
+// explainGoldenEntries explains every task of explainSets under every
+// explainConfigs configuration, in golden-file order.
+func explainGoldenEntries(t *testing.T) []explainGoldenEntry {
+	t.Helper()
 	var got []explainGoldenEntry
 	for si, ts := range explainSets(t) {
 		for _, cfg := range explainConfigs() {
@@ -244,6 +245,16 @@ func TestExplainGolden(t *testing.T) {
 			}
 		}
 	}
+	return got
+}
+
+// TestExplainGolden pins Explain field for field on every task of
+// explainSets under every explainConfigs configuration. The fixed-point
+// trace fields are not part of the golden file; TestExplainTrace checks
+// them. Regenerate deliberately with:
+// go test ./internal/core -run TestExplainGolden -update
+func TestExplainGolden(t *testing.T) {
+	got := explainGoldenEntries(t)
 	if *updateGolden {
 		var b bytes.Buffer
 		b.WriteString("[\n")
@@ -282,8 +293,63 @@ func TestExplainGolden(t *testing.T) {
 			t.Fatalf("entry %d: golden is set %d %+v prio %d, got set %d %+v prio %d",
 				i, w.Set, w.Config, w.Prio, g.Set, g.Config, g.Prio)
 		}
-		if !reflect.DeepEqual(w.Ex, g.Ex) {
+		ex := *g.Ex
+		ex.Iterations, ex.Jumps, ex.Trace = 0, 0, nil
+		if !reflect.DeepEqual(w.Ex, &ex) {
 			t.Errorf("set %d %+v prio %d:\n got %+v\nwant %+v", g.Set, g.Config, g.Prio, *g.Ex, *w.Ex)
+		}
+	}
+}
+
+// TestExplainTrace checks the replayed fixed point on every golden
+// entry: a verified task's trace ends at its reported WCRT (true of
+// every verified task here; Explain documents where it need not be),
+// the trace holds every iterate unless truncated, every dominant term
+// uses the Explanation vocabulary, and Render labels abort-time
+// replays. The Perfect bus-overload gate runs no fixed point and must
+// leave the trace empty.
+func TestExplainTrace(t *testing.T) {
+	known := map[string]bool{"CorePreemption": true, "BAS": true, "SlotWait": true, "Blocking": true}
+	sets := explainSets(t)
+	for _, e := range explainGoldenEntries(t) {
+		ex, key := e.Ex, fmt.Sprintf("set %d %+v", e.Set, e.Config)
+		res, err := Analyze(sets[e.Set], e.Config, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OuterIterations == 0 {
+			if ex.Iterations != 0 || ex.Jumps != 0 || len(ex.Trace) != 0 {
+				t.Errorf("%s prio %d: trace %d/%d/%v without a fixed point", key, e.Prio, ex.Iterations, ex.Jumps, ex.Trace)
+			}
+			continue
+		}
+		var tr TaskResult
+		for _, r := range res.Tasks {
+			if r.Priority == e.Prio {
+				tr = r
+			}
+		}
+		if ex.Iterations == 0 || int64(len(ex.Trace)) != min(ex.Iterations, maxTraceSteps) {
+			t.Errorf("%s prio %d: %d iterations, %d traced", key, e.Prio, ex.Iterations, len(ex.Trace))
+			continue
+		}
+		if ex.Jumps != 0 && ex.Jumps != 1 {
+			t.Errorf("%s prio %d: %d breakpoint jumps", key, e.Prio, ex.Jumps)
+		}
+		if last := ex.Trace[len(ex.Trace)-1].R; tr.Verified && last != tr.WCRT {
+			t.Errorf("%s prio %d: trace ends at %d, WCRT %d", key, e.Prio, last, tr.WCRT)
+		}
+		for _, st := range ex.Trace {
+			if !known[st.Dominant] && !strings.HasPrefix(st.Dominant, "Remote[") {
+				t.Errorf("%s prio %d: unknown dominant term %q", key, e.Prio, st.Dominant)
+			}
+		}
+		var b strings.Builder
+		if err := ex.Render(&b); err != nil {
+			t.Fatal(err)
+		}
+		if replay := strings.Contains(b.String(), "replayed at the abort-time estimates"); replay == ex.Schedulable {
+			t.Errorf("%s prio %d: schedulable %v but replay label %v:\n%s", key, e.Prio, ex.Schedulable, replay, b.String())
 		}
 	}
 }

@@ -62,7 +62,7 @@ func computeGolden(t *testing.T) []goldenOutcome {
 	}
 	var out []goldenOutcome
 	for _, v := range variants {
-		res, err := Analyze(ts, v.cfg)
+		res, err := Analyze(ts, v.cfg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,9 +86,9 @@ func TestDifferentialMemo(t *testing.T) {
 		}
 		store := NewMemoStore(0)
 		for pass := 0; pass < 2; pass++ {
-			got, err := AnalyzeAllOpts(ts, cfgs, Options{Memo: store})
+			got, err := analyzeAllObs(ts, cfgs, nil, store)
 			if err != nil {
-				t.Fatalf("set %d pass %d: AnalyzeAllOpts: %v", si, pass, err)
+				t.Fatalf("set %d pass %d: analyzeAllObs: %v", si, pass, err)
 			}
 			for ci := range cfgs {
 				if !reflect.DeepEqual(got[ci], want[ci]) {
@@ -121,9 +121,9 @@ func TestDifferentialMemoPerturbed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("set %d variant %d: AnalyzeAll: %v", si, vi, err)
 			}
-			got, err := AnalyzeAllOpts(ts, cfgs, Options{Memo: store})
+			got, err := analyzeAllObs(ts, cfgs, nil, store)
 			if err != nil {
-				t.Fatalf("set %d variant %d: AnalyzeAllOpts: %v", si, vi, err)
+				t.Fatalf("set %d variant %d: analyzeAllObs: %v", si, vi, err)
 			}
 			for ci := range cfgs {
 				if !reflect.DeepEqual(got[ci], want[ci]) {
@@ -149,7 +149,7 @@ func TestMemoComputeOnceConcurrent(t *testing.T) {
 	cfgs := memoConfigs()
 
 	solo := telemetry.New()
-	if _, err := AnalyzeAllOpts(ts, cfgs, Options{Memo: NewMemoStore(0), Observer: solo}); err != nil {
+	if _, err := analyzeAllObs(ts, cfgs, solo, NewMemoStore(0)); err != nil {
 		t.Fatal(err)
 	}
 	soloMisses := solo.Metrics.Get(telemetry.CtrMemoMisses)
@@ -166,7 +166,7 @@ func TestMemoComputeOnceConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			_, errs[w] = AnalyzeAllOpts(ts, cfgs, Options{Memo: store, Observer: obs})
+			_, errs[w] = analyzeAllObs(ts, cfgs, obs, store)
 		}(w)
 	}
 	wg.Wait()
@@ -201,7 +201,7 @@ func TestCurveMemoComputeOnceConcurrent(t *testing.T) {
 	}
 
 	solo := telemetry.New()
-	if _, err := AnalyzeAllOpts(ts, cfgs, Options{Memo: NewMemoStore(0), Observer: solo}); err != nil {
+	if _, err := analyzeAllObs(ts, cfgs, solo, NewMemoStore(0)); err != nil {
 		t.Fatal(err)
 	}
 	soloCurves := solo.Metrics.Get(telemetry.CtrCurveMemoMisses)
@@ -289,10 +289,10 @@ func TestMemoSweepRecomputeReduction(t *testing.T) {
 	store := NewMemoStore(0)
 	for _, ts := range sweep {
 		coldObs, sharedObs := telemetry.New(), telemetry.New()
-		if _, err := AnalyzeAllOpts(ts, cfgs, Options{Memo: NewMemoStore(0), Observer: coldObs}); err != nil {
+		if _, err := analyzeAllObs(ts, cfgs, coldObs, NewMemoStore(0)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := AnalyzeAllOpts(ts, cfgs, Options{Memo: store, Observer: sharedObs}); err != nil {
+		if _, err := analyzeAllObs(ts, cfgs, sharedObs, store); err != nil {
 			t.Fatal(err)
 		}
 		cold += coldObs.Metrics.Get(telemetry.CtrMemoMisses)

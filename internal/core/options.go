@@ -1,19 +1,16 @@
 package core
 
-import (
-	"repro/internal/taskmodel"
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // Options carries cross-cutting knobs orthogonal to the analysis
-// variant selected by Config. The zero value reproduces the plain
-// entry points exactly.
+// variant selected by Config. The zero value computes everything
+// locally and uninstrumented.
 type Options struct {
 	// Observer receives analyzer telemetry: counters and histograms
-	// for the fixed-point hot path, per-task analysis spans, and
-	// convergence traces (see internal/telemetry). nil — the default —
-	// keeps the hot path uninstrumented; the inner loop stays
-	// allocation-free (pinned by TestResponseTimeZeroAlloc).
+	// for the fixed-point hot path and per-task analysis spans (see
+	// internal/telemetry). nil — the default — keeps the hot path
+	// uninstrumented; the inner loop stays allocation-free (pinned by
+	// TestResponseTimeZeroAlloc).
 	Observer *telemetry.Observer
 	// Memo, when non-nil, is a shared content-addressed store
 	// (memo.go) working at two grains: the interference tables fill
@@ -25,25 +22,6 @@ type Options struct {
 	// analyses. nil — the default — computes everything locally,
 	// exactly as before.
 	Memo *MemoStore
-}
-
-// SetObserver attaches (or, with nil, detaches) a telemetry observer.
-// Not safe to call while Run is executing.
-func (a *Analyzer) SetObserver(obs *telemetry.Observer) { a.obs = obs }
-
-// AnalyzeOpts is Analyze with options.
-func AnalyzeOpts(ts *taskmodel.TaskSet, cfg Config, opts Options) (*Result, error) {
-	a, err := NewAnalyzer(ts, cfg)
-	if err != nil {
-		return nil, err
-	}
-	a.obs = opts.Observer
-	return a.Run(), nil
-}
-
-// AnalyzeAllOpts is AnalyzeAll with options.
-func AnalyzeAllOpts(ts *taskmodel.TaskSet, cfgs []Config, opts Options) ([]*Result, error) {
-	return analyzeAllObs(ts, cfgs, opts.Observer, opts.Memo)
 }
 
 // label is the variant name used in spans and logs, matching the

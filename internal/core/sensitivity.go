@@ -50,19 +50,16 @@ func cloneWithDMem(ts *taskmodel.TaskSet, dmem taskmodel.Time) *taskmodel.TaskSe
 // MaxDMem returns the largest memory access time (in [1, limit]) at
 // which the task set remains schedulable under cfg, or 0 if it is
 // unschedulable even at d_mem = 1. A limit of 0 defaults to 1<<20.
-func MaxDMem(ts *taskmodel.TaskSet, cfg Config, limit taskmodel.Time) (taskmodel.Time, error) {
-	return MaxDMemOpts(ts, cfg, limit, Options{})
-}
-
-// MaxDMemOpts is MaxDMem with options; every probe of the search
-// reports to the observer.
-func MaxDMemOpts(ts *taskmodel.TaskSet, cfg Config, limit taskmodel.Time, opts Options) (taskmodel.Time, error) {
+// Every probe of the search reports to opts.Observer.
+func MaxDMem(ts *taskmodel.TaskSet, cfg Config, limit taskmodel.Time, opts Options) (taskmodel.Time, error) {
 	if limit <= 0 {
 		limit = 1 << 20
 	}
 	// None of the precomputed interference terms depend on d_mem, so one
-	// set of tables serves every probe of the search.
+	// set of tables serves every probe of the search, filled from and
+	// shared through opts.Memo when one is given.
 	tbl := PrecomputeTables(ts, cfg.CRPD)
+	tbl.setMemo(opts.Memo)
 	sched := func(d taskmodel.Time) (bool, error) {
 		a, err := NewAnalyzerWithTables(cloneWithDMem(ts, d), cfg, tbl)
 		if err != nil {
@@ -121,19 +118,14 @@ func MaxDMemOpts(ts *taskmodel.TaskSet, cfg Config, limit taskmodel.Time, opts O
 // cfg: k < 1 quantifies the headroom of a schedulable set, k > 1 the
 // slack a failing set is missing. The search covers k in
 // [2^-10, 2^10]; an error is returned if even the largest scaling does
-// not help, and k = 0 is never returned.
-func CriticalScaling(ts *taskmodel.TaskSet, cfg Config, tol float64) (float64, error) {
-	return CriticalScalingOpts(ts, cfg, tol, Options{})
-}
-
-// CriticalScalingOpts is CriticalScaling with options; every probe of
-// the search reports to the observer.
-func CriticalScalingOpts(ts *taskmodel.TaskSet, cfg Config, tol float64, opts Options) (float64, error) {
+// not help, and k = 0 is never returned. Every probe of the search
+// runs Analyze with opts.
+func CriticalScaling(ts *taskmodel.TaskSet, cfg Config, tol float64, opts Options) (float64, error) {
 	if tol <= 0 {
 		tol = 1e-3
 	}
 	sched := func(k float64) (bool, error) {
-		res, err := AnalyzeOpts(cloneScaled(ts, k), cfg, opts)
+		res, err := Analyze(cloneScaled(ts, k), cfg, opts)
 		if err != nil {
 			return false, err
 		}

@@ -28,7 +28,7 @@ func soloTDMASet(dmem taskmodel.Time) *taskmodel.TaskSet {
 func TestMaxDMemExactOnSoloTDMA(t *testing.T) {
 	// R = PD + MD·(1+(m−1)·s)·d = 50 + 30d ≤ 1000 ⇒ d ≤ 31.
 	ts := soloTDMASet(5)
-	got, err := MaxDMem(ts, Config{Arbiter: TDMA}, 0)
+	got, err := MaxDMem(ts, Config{Arbiter: TDMA}, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +36,10 @@ func TestMaxDMemExactOnSoloTDMA(t *testing.T) {
 		t.Fatalf("MaxDMem = %d, want 31", got)
 	}
 	// Verify the edge explicitly.
-	if res, _ := Analyze(cloneWithDMem(ts, 31), Config{Arbiter: TDMA}); !res.Schedulable {
+	if res, _ := Analyze(cloneWithDMem(ts, 31), Config{Arbiter: TDMA}, Options{}); !res.Schedulable {
 		t.Fatal("reported edge not schedulable")
 	}
-	if res, _ := Analyze(cloneWithDMem(ts, 32), Config{Arbiter: TDMA}); res.Schedulable {
+	if res, _ := Analyze(cloneWithDMem(ts, 32), Config{Arbiter: TDMA}, Options{}); res.Schedulable {
 		t.Fatal("edge+1 unexpectedly schedulable")
 	}
 }
@@ -48,7 +48,7 @@ func TestMaxDMemUnschedulableAtOne(t *testing.T) {
 	ts := soloTDMASet(5)
 	ts.Tasks[0].Deadline = 60 // 50 + 30·1 = 80 > 60 even at d=1
 	ts.Tasks[0].Period = 60
-	got, err := MaxDMem(ts, Config{Arbiter: TDMA}, 0)
+	got, err := MaxDMem(ts, Config{Arbiter: TDMA}, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestMaxDMemUnschedulableAtOne(t *testing.T) {
 
 func TestMaxDMemHitsLimit(t *testing.T) {
 	ts := soloTDMASet(5)
-	got, err := MaxDMem(ts, Config{Arbiter: TDMA}, 10)
+	got, err := MaxDMem(ts, Config{Arbiter: TDMA}, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCriticalScalingSoloTask(t *testing.T) {
 	// Solo TDMA task: R = 200 at d=5; schedulable iff D = 1000k >= 200,
 	// so the critical scaling is 0.2.
 	ts := soloTDMASet(5)
-	k, err := CriticalScaling(ts, Config{Arbiter: TDMA}, 1e-4)
+	k, err := CriticalScaling(ts, Config{Arbiter: TDMA}, 1e-4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +80,10 @@ func TestCriticalScalingSoloTask(t *testing.T) {
 		t.Fatalf("CriticalScaling = %g, want ~0.2", k)
 	}
 	// The reported factor is actually schedulable; slightly below is not.
-	if res, _ := Analyze(cloneScaled(ts, k), Config{Arbiter: TDMA}); !res.Schedulable {
+	if res, _ := Analyze(cloneScaled(ts, k), Config{Arbiter: TDMA}, Options{}); !res.Schedulable {
 		t.Fatal("reported scaling not schedulable")
 	}
-	if res, _ := Analyze(cloneScaled(ts, k*0.95), Config{Arbiter: TDMA}); res.Schedulable {
+	if res, _ := Analyze(cloneScaled(ts, k*0.95), Config{Arbiter: TDMA}, Options{}); res.Schedulable {
 		t.Fatal("5%% below the critical scaling unexpectedly schedulable")
 	}
 }
@@ -103,11 +103,11 @@ func TestCriticalScalingOnGeneratedSets(t *testing.T) {
 			t.Fatal(err)
 		}
 		anaCfg := Config{Arbiter: RR, Persistence: true}
-		k, err := CriticalScaling(ts, anaCfg, 1e-3)
+		k, err := CriticalScaling(ts, anaCfg, 1e-3, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		base, err := Analyze(ts, anaCfg)
+		base, err := Analyze(ts, anaCfg, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestCriticalScalingOnGeneratedSets(t *testing.T) {
 			t.Errorf("seed %d: unschedulable set but critical scaling %g < 1", seed, k)
 		}
 		// Persistence awareness can only lower the critical scaling.
-		kBase, err := CriticalScaling(ts, Config{Arbiter: RR}, 1e-3)
+		kBase, err := CriticalScaling(ts, Config{Arbiter: RR}, 1e-3, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -30,7 +30,7 @@ import (
 //
 // Tables are NOT safe for concurrent use: lazy filling mutates shared
 // state. Analyzers sharing one Tables (AnalyzeAll) must run
-// sequentially; AnalyzeBatch gives each worker its own Tables.
+// sequentially; AnalyzeBatchOpts gives each worker its own Tables.
 
 // taskRef pairs a task with its dense index into Tables.tasks so hot
 // loops can reach per-task caches without map lookups.

@@ -2,11 +2,12 @@ package core
 
 import (
 	"context"
-	"strings"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/fixtures"
+	"repro/internal/taskmodel"
 	"repro/internal/telemetry"
 )
 
@@ -22,7 +23,7 @@ func TestTelemetryCounterReconciliation(t *testing.T) {
 		for _, ts := range randomTaskSets(t, 4, util) {
 			for _, arb := range []Arbiter{FP, RR, TDMA, Perfect} {
 				for _, persist := range []bool{false, true} {
-					res, err := AnalyzeOpts(ts, Config{Arbiter: arb, Persistence: persist}, Options{Observer: obs})
+					res, err := Analyze(ts, Config{Arbiter: arb, Persistence: persist}, Options{Observer: obs})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -65,64 +66,6 @@ func TestTelemetryCounterReconciliation(t *testing.T) {
 	}
 }
 
-// TestConvergenceTraceOnPaperExample records iterate chains for the
-// paper's worked example and checks they use the explain.go term
-// vocabulary and end in a verdict per task.
-func TestConvergenceTraceOnPaperExample(t *testing.T) {
-	obs := telemetry.New()
-	obs.Convergence = telemetry.NewConvergenceLog()
-	res, err := AnalyzeOpts(fixtures.Fig1TaskSet(), Config{Arbiter: FP, Persistence: true}, Options{Observer: obs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Complete {
-		t.Fatal("paper example should complete")
-	}
-	traces := obs.Convergence.Traces()
-	if len(traces) == 0 {
-		t.Fatal("no convergence traces recorded")
-	}
-	known := map[string]bool{"CorePreemption": true, "BAS": true, "Blocking": true, "SlotWait": true}
-	seen := map[string]bool{}
-	for _, tr := range traces {
-		if !tr.Converged {
-			t.Errorf("%s (prio %d): trace not marked converged", tr.Task, tr.Priority)
-		}
-		if len(tr.Steps) == 0 {
-			t.Errorf("%s: empty trace", tr.Task)
-		}
-		seen[tr.Task] = true
-		for _, st := range tr.Steps {
-			if !known[st.Dominant] && !strings.HasPrefix(st.Dominant, "Remote[") {
-				t.Errorf("%s: unknown dominant term %q", tr.Task, st.Dominant)
-			}
-		}
-		// The trace spans every analysis across outer rounds, so it is
-		// not globally monotone — but the converged bound must appear as
-		// one of its iterates.
-		for _, tres := range res.Tasks {
-			if tres.Name != tr.Task {
-				continue
-			}
-			found := false
-			for _, st := range tr.Steps {
-				if st.Iterate == int64(tres.WCRT) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("%s: WCRT %d never appears in the iterate chain", tr.Task, tres.WCRT)
-			}
-		}
-	}
-	for _, tres := range res.Tasks {
-		if !seen[tres.Name] {
-			t.Errorf("no trace for task %s", tres.Name)
-		}
-	}
-}
-
 // TestCursorReseedOnlyOnRemoteChange is the regression test for the
 // fixed-point resume path: across outer rounds, a re-analysis must
 // reuse the level's cursors (a resume, not a rebuild), and must
@@ -135,7 +78,7 @@ func TestCursorReseedOnlyOnRemoteChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SetObserver(obs)
+	a.obs = obs
 	if res := a.Run(); !res.Schedulable {
 		t.Fatal("paper example should be schedulable")
 	}
@@ -255,18 +198,50 @@ func TestSensitivityOptsReportRuns(t *testing.T) {
 	obs := telemetry.New()
 	ts := fixtures.Fig1TaskSet()
 	cfg := Config{Arbiter: FP, Persistence: true}
-	d, err := MaxDMemOpts(ts, cfg, 64, Options{Observer: obs})
+	d, err := MaxDMem(ts, cfg, 64, Options{Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dPlain, err := MaxDMem(ts, cfg, 64)
+	dPlain, err := MaxDMem(ts, cfg, 64, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d != dPlain {
-		t.Errorf("MaxDMemOpts = %d, MaxDMem = %d", d, dPlain)
+		t.Errorf("MaxDMem with an observer = %d, without = %d", d, dPlain)
 	}
 	if obs.Metrics.Get(telemetry.CtrRuns) == 0 {
 		t.Error("sensitivity probes invisible to the observer")
+	}
+}
+
+// TestEntryPointsHonourOptions checks that Analyze and MaxDMem use both
+// Options fields: two calls sharing one memo store hit it, and every
+// result equals the uninstrumented, unshared run's.
+func TestEntryPointsHonourOptions(t *testing.T) {
+	cfg := Config{Arbiter: RR, Persistence: true}
+	for si, ts := range append([]*taskmodel.TaskSet{fixtures.Fig1TaskSet()}, randomTaskSets(t, 1, 0.3)...) {
+		calls := map[string]func(Options) (any, error){
+			"Analyze": func(o Options) (any, error) { return Analyze(ts, cfg, o) },
+			"MaxDMem": func(o Options) (any, error) { return MaxDMem(ts, cfg, 64, o) },
+		}
+		for name, call := range calls {
+			want, err := call(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Observer: telemetry.New(), Memo: NewMemoStore(0)}
+			for i := 0; i < 2; i++ {
+				got, err := call(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("set %d %s call %d: %+v with options, %+v without", si, name, i, got, want)
+				}
+			}
+			if hits := opts.Observer.Metrics.Get(telemetry.CtrMemoHits); hits == 0 {
+				t.Errorf("set %d %s: two calls sharing a memo store recorded no memo hits", si, name)
+			}
+		}
 	}
 }

@@ -56,7 +56,7 @@ func ExtOPA(opts Options) (*Study, error) {
 	opts = opts.withDefaults()
 	cfg := rrCP[0].Config
 	withOPA := func(ts *taskmodel.TaskSet) (*taskmodel.TaskSet, error) {
-		res, err := core.AnalyzeOpts(ts, cfg, core.Options{Observer: opts.Observer})
+		res, err := core.Analyze(ts, cfg, core.Options{Observer: opts.Observer})
 		if err != nil {
 			return nil, err
 		}

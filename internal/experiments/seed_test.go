@@ -138,7 +138,7 @@ func TestVerdictsMatchesAnalyze(t *testing.T) {
 	}
 	got := verdictMap(all, variants)
 	for _, v := range variants {
-		res, err := core.Analyze(ts, v.Config)
+		res, err := core.Analyze(ts, v.Config, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

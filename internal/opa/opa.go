@@ -129,7 +129,7 @@ func Assign(ts *taskmodel.TaskSet, cfg core.Config) (*Result, error) {
 		ts.Tasks[i].Priority = assigned[i]
 	}
 	final := taskmodel.NewTaskSet(ts.Platform, append([]*taskmodel.Task(nil), ts.Tasks...))
-	res, err := core.Analyze(final, cfg)
+	res, err := core.Analyze(final, cfg, core.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func TestAssignFindsValidAssignment(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: ApplyTo: %v", seed, err)
 		}
-		full, err := core.Analyze(applied, cfg)
+		full, err := core.Analyze(applied, cfg, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -84,7 +84,7 @@ func TestAssignAtLeastAsGoodAsDMEmpirically(t *testing.T) {
 	dm, opaWins := 0, 0
 	for seed := int64(0); seed < 15; seed++ {
 		ts := genSet(t, seed, 0.3)
-		full, err := core.Analyze(ts, cfg)
+		full, err := core.Analyze(ts, cfg, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

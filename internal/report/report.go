@@ -87,7 +87,7 @@ func Write(w io.Writer, ts *taskmodel.TaskSet, opts Options) error {
 	fmt.Fprintf(w, "| analysis | schedulable | outer iterations |\n|---|---|---|\n")
 	results := map[string]*core.Result{}
 	for _, v := range variants(ts.Platform) {
-		res, err := core.Analyze(ts, v.cfg)
+		res, err := core.Analyze(ts, v.cfg, core.Options{})
 		if err != nil {
 			return err
 		}
@@ -104,11 +104,11 @@ func Write(w io.Writer, ts *taskmodel.TaskSet, opts Options) error {
 	}
 	base := ref
 	base.Persistence = false
-	baseRes, err := core.Analyze(ts, base)
+	baseRes, err := core.Analyze(ts, base, core.Options{})
 	if err != nil {
 		return err
 	}
-	refRes, err := core.Analyze(ts, ref)
+	refRes, err := core.Analyze(ts, ref, core.Options{})
 	if err != nil {
 		return err
 	}
@@ -172,12 +172,12 @@ func Write(w io.Writer, ts *taskmodel.TaskSet, opts Options) error {
 			if v.cfg.Arbiter == core.Perfect {
 				continue
 			}
-			maxD, err := core.MaxDMem(ts, v.cfg, 1<<16)
+			maxD, err := core.MaxDMem(ts, v.cfg, 1<<16, core.Options{})
 			if err != nil {
 				return err
 			}
 			scale := "-"
-			if k, err := core.CriticalScaling(ts, v.cfg, 1e-3); err == nil {
+			if k, err := core.CriticalScaling(ts, v.cfg, 1e-3, core.Options{}); err == nil {
 				scale = fmt.Sprintf("%.3f", k)
 			}
 			fmt.Fprintf(w, "| %s | %d | %s |\n", v.name, maxD, scale)

@@ -78,7 +78,7 @@ func coreConfigs(t *testing.T, wire []wireConfig) []core.Config {
 }
 
 // TestResponseByteIdentity is the acceptance pin: the served results
-// must be byte-identical to a direct core.AnalyzeBatch call — the
+// must be byte-identical to a direct core.AnalyzeBatchOpts call — the
 // server is a pure serving layer, whether the answer was computed,
 // cached or coalesced.
 func TestResponseByteIdentity(t *testing.T) {
@@ -86,8 +86,8 @@ func TestResponseByteIdentity(t *testing.T) {
 	hs := httptest.NewServer(New(Options{Observer: obs}).Handler())
 	defer hs.Close()
 
-	direct, err := core.AnalyzeBatch(
-		[]core.BatchRequest{{TS: fixtures.Fig1TaskSet(), Cfgs: coreConfigs(t, paperConfigs)}}, 1)
+	direct, err := core.AnalyzeBatchOpts(
+		[]core.BatchRequest{{TS: fixtures.Fig1TaskSet(), Cfgs: coreConfigs(t, paperConfigs)}}, core.BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestResponseByteIdentity(t *testing.T) {
 		t.Error("first request reported cached")
 	}
 	if !bytes.Equal([]byte(env.Results), want) {
-		t.Errorf("served results differ from direct AnalyzeBatch:\nserver: %s\ndirect: %s", env.Results, want)
+		t.Errorf("served results differ from direct AnalyzeBatchOpts:\nserver: %s\ndirect: %s", env.Results, want)
 	}
 
 	// Re-POST: served from cache, still byte-identical.
@@ -297,8 +297,8 @@ func TestPanicIsolationRecovers(t *testing.T) {
 	hs := httptest.NewServer(New(Options{Observer: obs}).Handler())
 	defer hs.Close()
 
-	direct, err := core.AnalyzeBatch(
-		[]core.BatchRequest{{TS: fixtures.Fig1TaskSet(), Cfgs: coreConfigs(t, paperConfigs)}}, 1)
+	direct, err := core.AnalyzeBatchOpts(
+		[]core.BatchRequest{{TS: fixtures.Fig1TaskSet(), Cfgs: coreConfigs(t, paperConfigs)}}, core.BatchOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ type wireAnalyzeRequest struct {
 
 // wireAnalyzeResponse envelopes the engine results. Results holds the
 // marshaled []*core.Result in Configs order, byte-identical to a
-// direct core.AnalyzeBatch call (and to every other response for the
+// direct core.AnalyzeBatchOpts call (and to every other response for the
 // same canonical key, cached or not).
 type wireAnalyzeResponse struct {
 	Key       string          `json:"key"`

@@ -50,7 +50,7 @@ func TestAnalysisDominatesSimulation(t *testing.T) {
 				{Arbiter: v.arb, Persistence: true, CPRO: persistence.MultisetUnion},
 			} {
 				persistenceOn := anaCfg.Persistence
-				anaRes, err := core.Analyze(ts, anaCfg)
+				anaRes, err := core.Analyze(ts, anaCfg, core.Options{})
 				if err != nil {
 					t.Fatalf("seed %d %v: analysis: %v", seed, v.arb, err)
 				}
@@ -103,7 +103,7 @@ func TestAnalysisDominatesSimulationWithOffsets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: sim: %v", seed, err)
 		}
-		anaRes, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true})
+		anaRes, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true}, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: analysis: %v", seed, err)
 		}
@@ -175,7 +175,7 @@ func TestAnalysisDominatesSimulationSporadic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d jitter %g: %v", seed, jitter, err)
 			}
-			anaRes, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true})
+			anaRes, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true}, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,20 +26,16 @@ type SessionOptions struct {
 	// Close. Implied by TracePath: an exported trace always embeds the
 	// counter snapshot.
 	Metrics bool
-	// Convergence enables per-task convergence traces, rendered on
-	// Close.
-	Convergence bool
 	// Verbose installs a Debug-level slog text handler as the default
 	// logger, turning the tools' slog.Debug chatter on.
 	Verbose bool
-	// Out receives the metrics summary and convergence report
-	// (default os.Stderr).
+	// Out receives the metrics summary (default os.Stderr).
 	Out io.Writer
 }
 
 // Session owns one run's instrumentation lifecycle: pprof profiles,
-// the metrics sink, the trace recorder and the convergence log start
-// together at StartSession and flush together at Close.
+// the metrics sink and the trace recorder start together at
+// StartSession and flush together at Close.
 type Session struct {
 	opts     SessionOptions
 	obs      *Observer
@@ -69,10 +65,7 @@ func StartSession(opts SessionOptions) (*Session, error) {
 	if opts.TracePath != "" {
 		obs.Trace = NewTraceRecorder()
 	}
-	if opts.Convergence {
-		obs.Convergence = NewConvergenceLog()
-	}
-	if obs.Metrics != nil || obs.Trace != nil || obs.Convergence != nil {
+	if obs.Metrics != nil || obs.Trace != nil {
 		s.obs = obs
 	}
 	return s, nil
@@ -84,9 +77,8 @@ func StartSession(opts SessionOptions) (*Session, error) {
 func (s *Session) Observer() *Observer { return s.obs }
 
 // Close flushes everything: stops profiles, writes the trace file
-// (embedding the final counter snapshot and a Perfetto counter track),
-// prints the metrics summary and renders the convergence report.
-// Close is idempotent.
+// (embedding the final counter snapshot and a Perfetto counter track)
+// and prints the metrics summary. Close is idempotent.
 func (s *Session) Close() error {
 	if s == nil || s.closed {
 		return nil
@@ -119,12 +111,6 @@ func (s *Session) Close() error {
 	if s.opts.Metrics && s.obs != nil && s.obs.Metrics != nil {
 		fmt.Fprintf(s.opts.Out, "\n%s telemetry:\n", s.opts.Tool)
 		if err := s.obs.Metrics.WriteSummary(s.opts.Out); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if s.opts.Convergence && s.obs != nil && s.obs.Convergence != nil {
-		fmt.Fprintf(s.opts.Out, "\nconvergence traces:\n")
-		if err := s.obs.Convergence.Render(s.opts.Out); err != nil {
 			errs = append(errs, err)
 		}
 	}

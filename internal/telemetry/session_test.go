@@ -29,19 +29,17 @@ func TestSessionFullLifecycle(t *testing.T) {
 	trace := filepath.Join(dir, "trace.json")
 	var out bytes.Buffer
 	s, err := StartSession(SessionOptions{
-		Tool: "test", TracePath: trace, Metrics: true, Convergence: true, Out: &out,
+		Tool: "test", TracePath: trace, Metrics: true, Out: &out,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	obs := s.Observer()
-	if obs == nil || obs.Metrics == nil || obs.Trace == nil || obs.Convergence == nil {
+	if obs == nil || obs.Metrics == nil || obs.Trace == nil {
 		t.Fatalf("observer sinks missing: %+v", obs)
 	}
 	obs.Add(CtrRuns, 2)
 	obs.Span("work", "test").End()
-	obs.Convergence.Step("t", 1, 10, "BAS")
-	obs.Convergence.Finish("t", 1, true)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +63,7 @@ func TestSessionFullLifecycle(t *testing.T) {
 	if !found {
 		t.Error("trace missing telemetry snapshot event")
 	}
-	for _, want := range []string{"analyzer.runs", "convergence traces", "t (prio 1"} {
+	for _, want := range []string{"analyzer.runs"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("session output missing %q:\n%s", want, out.String())
 		}

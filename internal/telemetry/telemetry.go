@@ -1,5 +1,5 @@
 // Package telemetry is the zero-overhead-when-disabled instrumentation
-// layer of the analyzer and its front-ends. It provides three sinks
+// layer of the analyzer and its front-ends. It provides two sinks
 // sharing one lifecycle (Session):
 //
 //   - Metrics — atomic counters and log2 histograms for the hot path:
@@ -9,27 +9,25 @@
 //     JSON, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing,
 //     with spans for per-task analysis, per-level curve construction
 //     and per-request sweep work.
-//   - ConvergenceLog — per-task response-time iterate chains with the
-//     dominating interference term at each step.
 //
-// The analyzer consumes all three through Observer, an aggregate whose
+// The analyzer consumes both through Observer, an aggregate whose
 // nil value (and any nil component) disables the corresponding
 // instrumentation: internal/core guards every hot-path hook with a
 // single nil check, so a nil Observer leaves the allocation-free inner
 // loop untouched (pinned by core's TestResponseTimeZeroAlloc).
 // Profiling (runtime/pprof CPU and heap profiles) is folded into the
-// same Session so commands wire one lifecycle, not three.
+// same Session so commands wire one lifecycle. The per-iterate view of
+// one task's fixed point is core.Explain's trace, not a sink here.
 package telemetry
 
 // Observer aggregates the instrumentation sinks the analyzer reports
 // into. Any field may be nil to disable that sink; a nil *Observer
 // disables everything. Observers are cheap headers over shared sinks:
-// WithTrack derives per-worker observers that share Metrics and
-// Convergence but write spans to their own trace track.
+// WithTrack derives per-worker observers that share Metrics but write
+// spans to their own trace track.
 type Observer struct {
-	Metrics     *Metrics
-	Trace       *TraceRecorder
-	Convergence *ConvergenceLog
+	Metrics *Metrics
+	Trace   *TraceRecorder
 
 	// track receives this observer's spans; nil falls back to the
 	// recorder's main track.
@@ -84,7 +82,3 @@ func (o *Observer) Span(name, cat string) Span {
 // Tracing reports whether spans are being recorded — call sites use it
 // to skip building span names.
 func (o *Observer) Tracing() bool { return o != nil && o.Trace != nil }
-
-// ConvergenceOn reports whether per-task convergence traces are being
-// recorded.
-func (o *Observer) ConvergenceOn() bool { return o != nil && o.Convergence != nil }

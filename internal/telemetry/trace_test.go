@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -121,36 +120,5 @@ func TestNilTrackNoOps(t *testing.T) {
 	r.Counters("c", nil)
 	if r.Main() != nil {
 		t.Error("nil recorder Main() != nil")
-	}
-}
-
-func TestConvergenceLogRender(t *testing.T) {
-	l := NewConvergenceLog()
-	l.Step("t1", 1, 100, "BAS")
-	l.Step("t1", 1, 140, "BAS")
-	l.Step("t1", 1, 150, "Remote[1]")
-	l.Finish("t1", 1, true)
-	l.Step("t2", 2, 900, "CorePreemption")
-	l.Finish("t2", 2, false)
-
-	traces := l.Traces()
-	if len(traces) != 2 {
-		t.Fatalf("traces = %d, want 2", len(traces))
-	}
-	if !traces[0].Converged || traces[1].Converged {
-		t.Errorf("verdicts wrong: %+v", traces)
-	}
-	if len(traces[0].Steps) != 3 {
-		t.Errorf("t1 steps = %d, want 3", len(traces[0].Steps))
-	}
-	var b strings.Builder
-	if err := l.Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"t1", "100 [BAS] -> 140 -> 150 [Remote[1]]", "NOT converged"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
 	}
 }
