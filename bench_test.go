@@ -246,7 +246,7 @@ func BenchmarkSimulator(b *testing.B) {
 	horizon := sim.HorizonForJobs(bindings, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(cfg.Platform, bindings, sim.Config{Policy: sim.PolicyRR, Horizon: horizon}); err != nil {
+		if _, err := sim.Run(cfg.Platform, bindings, sim.Config{Policy: core.RR, Horizon: horizon}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -205,23 +205,8 @@ type SimulationResult struct {
 // roughly `jobs` jobs of the longest-period task. It is the public
 // entry point to the soundness validation the repository's tests
 // perform: observed response times should stay below Analyze's WCRT
-// bounds.
+// bounds. Perfect has no bus to simulate and is rejected with an error.
 func SimulateSuite(ts *TaskSet, arbiter Arbiter, jobs int) (*SimulationResult, error) {
-	var policy sim.Policy
-	switch arbiter {
-	case FP:
-		policy = sim.PolicyFP
-	case RR:
-		policy = sim.PolicyRR
-	case TDMA:
-		policy = sim.PolicyTDMA
-	case Regulated:
-		policy = sim.PolicyRegulated
-	case ParAware:
-		policy = sim.PolicyParAware
-	default:
-		return nil, fmt.Errorf("buscon: no simulator policy for arbiter %v", arbiter)
-	}
 	var bindings []sim.TaskBinding
 	for _, t := range ts.Tasks {
 		b, err := benchsuite.ByName(t.Name)
@@ -231,7 +216,7 @@ func SimulateSuite(ts *TaskSet, arbiter Arbiter, jobs int) (*SimulationResult, e
 		bindings = append(bindings, sim.TaskBinding{Task: t, Prog: b.Prog})
 	}
 	res, err := sim.Run(ts.Platform, bindings, sim.Config{
-		Policy:  policy,
+		Policy:  arbiter,
 		Horizon: sim.HorizonForJobs(bindings, jobs),
 	})
 	if err != nil {

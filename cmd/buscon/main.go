@@ -24,66 +24,12 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"text/tabwriter"
 
 	"repro/internal/core"
-	"repro/internal/crpd"
-	"repro/internal/persistence"
 	"repro/internal/taskmodel"
 	"repro/internal/telemetry"
 )
-
-func parseArbiter(s string) (core.Arbiter, error) {
-	switch strings.ToLower(s) {
-	case "fp":
-		return core.FP, nil
-	case "rr":
-		return core.RR, nil
-	case "tdma":
-		return core.TDMA, nil
-	case "perfect":
-		return core.Perfect, nil
-	case "regulated":
-		return core.Regulated, nil
-	case "paraware":
-		return core.ParAware, nil
-	default:
-		return 0, fmt.Errorf("unknown arbiter %q (want fp, rr, tdma, perfect, regulated or paraware)", s)
-	}
-}
-
-func parseCRPD(s string) (crpd.Approach, error) {
-	switch strings.ToLower(s) {
-	case "ecb-union":
-		return crpd.ECBUnion, nil
-	case "ucb-only":
-		return crpd.UCBOnly, nil
-	case "ecb-only":
-		return crpd.ECBOnly, nil
-	case "ucb-union":
-		return crpd.UCBUnion, nil
-	case "combined":
-		return crpd.Combined, nil
-	default:
-		return 0, fmt.Errorf("unknown CRPD approach %q", s)
-	}
-}
-
-func parseCPRO(s string) (persistence.CPROApproach, error) {
-	switch strings.ToLower(s) {
-	case "union":
-		return persistence.Union, nil
-	case "multiset":
-		return persistence.MultisetUnion, nil
-	case "full":
-		return persistence.FullReload, nil
-	case "none":
-		return persistence.None, nil
-	default:
-		return 0, fmt.Errorf("unknown CPRO approach %q", s)
-	}
-}
 
 // run executes the whole command against explicit streams and returns
 // the process exit code (0 ok, 2 not schedulable, 130 interrupted), so
@@ -144,15 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		return 1, err
 	}
 
-	arb, err := parseArbiter(*arbS)
-	if err != nil {
-		return 1, err
-	}
-	crpdAp, err := parseCRPD(*crpdS)
-	if err != nil {
-		return 1, err
-	}
-	cproAp, err := parseCPRO(*cproS)
+	cfg, err := core.WireConfig{Arbiter: *arbS, Persistence: *persist, CRPD: *crpdS, CPRO: *cproS}.Config()
 	if err != nil {
 		return 1, err
 	}
@@ -166,7 +104,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	}
 
 	obs := sess.Observer()
-	cfg := core.Config{Arbiter: arb, Persistence: *persist, CRPD: crpdAp, CPRO: cproAp}
 	res, err := core.Analyze(ts, cfg, core.Options{Observer: obs})
 	if err != nil {
 		return 1, err
@@ -187,7 +124,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	fmt.Fprintf(stdout, "platform: %d cores, %d cache sets x %d B, d_mem=%d, slot=%d\n",
 		ts.Platform.NumCores, ts.Platform.Cache.NumSets, ts.Platform.Cache.BlockSizeBytes,
 		ts.Platform.DMem, ts.Platform.SlotSize)
-	fmt.Fprintf(stdout, "analysis: %s bus, persistence=%v, crpd=%s, cpro=%s\n\n", arb, *persist, crpdAp, cproAp)
+	fmt.Fprintf(stdout, "analysis: %s bus, persistence=%v, crpd=%s, cpro=%s\n\n", cfg.Arbiter, cfg.Persistence, cfg.CRPD, cfg.CPRO)
 
 	if !res.Schedulable {
 		fmt.Fprintln(stdout, "note: analysis aborted at the first deadline miss; WCRTs of other tasks are mid-iteration estimates")

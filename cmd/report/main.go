@@ -23,7 +23,7 @@ func run() error {
 	in := flag.String("in", "", "task set JSON file (required; - for stdin)")
 	sensitivity := flag.Bool("sensitivity", false, "include the (slower) sensitivity section")
 	noExplain := flag.Bool("no-explain", false, "skip the bound decomposition section")
-	arbS := flag.String("arbiter", "rr", "reference arbiter for the detail sections: fp, rr, tdma, regulated or paraware")
+	arbS := flag.String("arbiter", "rr", "reference arbiter for the detail sections: fp, rr, tdma, perfect, regulated or paraware")
 	noPersistence := flag.Bool("no-persistence", false, "use the persistence-oblivious analysis as reference")
 	flag.Parse()
 	if *in == "" {
@@ -45,20 +45,9 @@ func run() error {
 		return err
 	}
 
-	var arb core.Arbiter
-	switch *arbS {
-	case "fp":
-		arb = core.FP
-	case "rr":
-		arb = core.RR
-	case "tdma":
-		arb = core.TDMA
-	case "regulated":
-		arb = core.Regulated
-	case "paraware":
-		arb = core.ParAware
-	default:
-		return fmt.Errorf("unknown arbiter %q (want fp, rr, tdma, regulated or paraware)", *arbS)
+	arb, err := core.ParseArbiter(*arbS)
+	if err != nil {
+		return err
 	}
 
 	return report.Write(os.Stdout, ts, report.Options{

@@ -21,7 +21,6 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
-	"strings"
 	"text/tabwriter"
 
 	"repro/internal/benchsuite"
@@ -46,7 +45,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	cores := fs.Int("cores", 2, "number of cores")
 	perCore := fs.Int("tasks-per-core", 3, "tasks per core")
 	util := fs.Float64("util", 0.3, "per-core utilization target")
-	policyS := fs.String("policy", "rr", "bus policy: fp, rr, tdma, regulated or paraware")
+	policyS := fs.String("policy", "rr", "bus arbiter: fp, rr, tdma, regulated or paraware (perfect has no bus to simulate)")
 	jobs := fs.Int("jobs", 3, "simulate about this many jobs of the longest-period task")
 	sets := fs.Int("sets", 64, "cache sets per core")
 	dmem := fs.Int64("dmem", 5, "memory access time (cycles)")
@@ -61,21 +60,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		return 1, fmt.Errorf("-jobs must be at least 1 (got %d)", *jobs)
 	}
 
-	var policy sim.Policy
-	var arbiter core.Arbiter
-	switch strings.ToLower(*policyS) {
-	case "fp":
-		policy, arbiter = sim.PolicyFP, core.FP
-	case "rr":
-		policy, arbiter = sim.PolicyRR, core.RR
-	case "tdma":
-		policy, arbiter = sim.PolicyTDMA, core.TDMA
-	case "regulated":
-		policy, arbiter = sim.PolicyRegulated, core.Regulated
-	case "paraware":
-		policy, arbiter = sim.PolicyParAware, core.ParAware
-	default:
-		return 1, fmt.Errorf("unknown policy %q (want fp, rr, tdma, regulated or paraware)", *policyS)
+	arbiter, err := core.ParseArbiter(*policyS)
+	if err != nil {
+		return 1, err
 	}
 
 	cfg := taskgen.Config{
@@ -136,12 +123,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	horizon := sim.HorizonForJobs(bindings, *jobs)
 
 	fmt.Fprintf(stdout, "simulating %d tasks on %d cores, %s bus, horizon %d cycles\n\n",
-		len(bindings), *cores, policy, horizon)
+		len(bindings), *cores, arbiter, horizon)
 
 	// Once announced, the simulation always runs to completion (it is
 	// not interruptible mid-cycle) so an interrupt can still report the
 	// observed behaviour below.
-	simCfg := sim.Config{Policy: policy, Horizon: horizon}
+	simCfg := sim.Config{Policy: arbiter, Horizon: horizon}
 	if *trace {
 		simCfg.Trace = &sim.WriterTracer{W: stdout}
 	}

@@ -88,13 +88,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		progs[name] = &bb
 	}
 
-	policies := []struct {
-		arb core.Arbiter
-		pol sim.Policy
-	}{
-		{core.FP, sim.PolicyFP}, {core.RR, sim.PolicyRR}, {core.TDMA, sim.PolicyTDMA},
-		{core.Regulated, sim.PolicyRegulated}, {core.ParAware, sim.PolicyParAware},
-	}
+	arbiters := []core.Arbiter{core.FP, core.RR, core.TDMA, core.Regulated, core.ParAware}
 	analyses := []core.Config{
 		{Arbiter: core.FP}, {Arbiter: core.FP, Persistence: true},
 		{Arbiter: core.RR}, {Arbiter: core.RR, Persistence: true},
@@ -126,18 +120,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		}
 		horizon := sim.HorizonForJobs(bindings, *jobs)
 
-		for _, p := range policies {
-			modes := []sim.Config{{Policy: p.pol, Horizon: horizon}}
+		for _, arb := range arbiters {
+			modes := []sim.Config{{Policy: arb, Horizon: horizon}}
 			if *jitter > 0 {
 				modes = append(modes, sim.Config{
-					Policy: p.pol, Horizon: horizon, ArrivalJitter: *jitter, Seed: seed,
+					Policy: arb, Horizon: horizon, ArrivalJitter: *jitter, Seed: seed,
 				})
 			}
 			offsets := map[int]taskmodel.Time{}
 			for i, task := range ts.Tasks {
 				offsets[task.Priority] = taskmodel.Time((seed*131 + int64(i)*89) % 400)
 			}
-			modes = append(modes, sim.Config{Policy: p.pol, Horizon: horizon, Offsets: offsets})
+			modes = append(modes, sim.Config{Policy: arb, Horizon: horizon, Offsets: offsets})
 
 			for _, mode := range modes {
 				simRes, err := sim.Run(ts.Platform, bindings, mode)
@@ -145,7 +139,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 					return 1, err
 				}
 				for _, ana := range analyses {
-					if ana.Arbiter != p.arb {
+					if ana.Arbiter != arb {
 						continue
 					}
 					res, err := core.Analyze(ts, ana, core.Options{})

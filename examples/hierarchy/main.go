@@ -114,7 +114,7 @@ func main() {
 		bindings []sim.TaskBinding
 	}{{"L1 only", single, bindingsL1}, {"L1 + L2", double, bindingsL2}} {
 		res, err := sim.Run(cse.plat, cse.bindings, sim.Config{
-			Policy:  sim.PolicyRR,
+			Policy:  core.RR,
 			Horizon: sim.HorizonForJobs(cse.bindings, 2),
 		})
 		if err != nil {

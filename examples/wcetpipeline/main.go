@@ -81,7 +81,7 @@ func main() {
 
 	fmt.Println("\nstep 3: cycle-accurate simulation (three hyperperiods)")
 	simRes, err := sim.Run(plat, bindings, sim.Config{
-		Policy:  sim.PolicyRR,
+		Policy:  core.RR,
 		Horizon: sim.HorizonForJobs(bindings, 3),
 	})
 	if err != nil {

@@ -13,8 +13,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/crpd"
-	"repro/internal/persistence"
 	"repro/internal/taskmodel"
 )
 
@@ -200,91 +198,24 @@ func (c *Client) analyzeOne(ctx context.Context, req core.BatchRequest) ([]*core
 }
 
 // EncodeAnalyzeBody renders engine inputs as a /v1/analyze request
-// body in the server's wire vocabulary. The mapping is the inverse of
-// the server's config parser; a round-trip test in internal/server
-// pins the two against each other via the canonical key.
+// body in the server's wire vocabulary (core.Config.Wire, the inverse
+// of the server's core.WireConfig.Config); a round-trip test in
+// internal/server pins the two against each other via the canonical key.
 func EncodeAnalyzeBody(ts *taskmodel.TaskSet, cfgs []core.Config) ([]byte, error) {
 	var tsBuf bytes.Buffer
 	if err := ts.WriteJSON(&tsBuf); err != nil {
 		return nil, err
 	}
-	type wireCfg struct {
-		Arbiter            string `json:"arbiter"`
-		Persistence        bool   `json:"persistence,omitempty"`
-		CRPD               string `json:"crpd,omitempty"`
-		CPRO               string `json:"cpro,omitempty"`
-		MaxOuterIterations int    `json:"max_outer_iterations,omitempty"`
-	}
-	wcs := make([]wireCfg, len(cfgs))
+	wcs := make([]core.WireConfig, len(cfgs))
 	for i, c := range cfgs {
-		arb, err := arbiterName(c)
+		wc, err := c.Wire()
 		if err != nil {
 			return nil, fmt.Errorf("config %d: %w", i, err)
 		}
-		crpdName, err := crpdNameOf(c)
-		if err != nil {
-			return nil, fmt.Errorf("config %d: %w", i, err)
-		}
-		cproName, err := cproNameOf(c)
-		if err != nil {
-			return nil, fmt.Errorf("config %d: %w", i, err)
-		}
-		wcs[i] = wireCfg{
-			Arbiter: arb, Persistence: c.Persistence,
-			CRPD: crpdName, CPRO: cproName,
-			MaxOuterIterations: c.MaxOuterIterations,
-		}
+		wcs[i] = wc
 	}
 	return json.Marshal(map[string]any{
 		"taskset": json.RawMessage(tsBuf.Bytes()),
 		"configs": wcs,
 	})
-}
-
-func arbiterName(c core.Config) (string, error) {
-	switch c.Arbiter {
-	case core.FP:
-		return "fp", nil
-	case core.RR:
-		return "rr", nil
-	case core.TDMA:
-		return "tdma", nil
-	case core.Perfect:
-		return "perfect", nil
-	case core.Regulated:
-		return "regulated", nil
-	case core.ParAware:
-		return "paraware", nil
-	}
-	return "", fmt.Errorf("unmapped arbiter %v", c.Arbiter)
-}
-
-func crpdNameOf(c core.Config) (string, error) {
-	switch c.CRPD {
-	case crpd.ECBUnion:
-		return "ecb-union", nil
-	case crpd.UCBOnly:
-		return "ucb-only", nil
-	case crpd.ECBOnly:
-		return "ecb-only", nil
-	case crpd.UCBUnion:
-		return "ucb-union", nil
-	case crpd.Combined:
-		return "combined", nil
-	}
-	return "", fmt.Errorf("unmapped CRPD approach %v", c.CRPD)
-}
-
-func cproNameOf(c core.Config) (string, error) {
-	switch c.CPRO {
-	case persistence.Union:
-		return "union", nil
-	case persistence.MultisetUnion:
-		return "multiset", nil
-	case persistence.FullReload:
-		return "full", nil
-	case persistence.None:
-		return "none", nil
-	}
-	return "", fmt.Errorf("unmapped CPRO approach %v", c.CPRO)
 }

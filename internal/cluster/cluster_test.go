@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/crpd"
+	"repro/internal/fixtures"
 	"repro/internal/persistence"
 )
 
@@ -107,6 +109,53 @@ func TestNewRingRejectsBadAddresses(t *testing.T) {
 	}
 }
 
+// TestWireNameCompleteness drives every declared engine enum value
+// through the client's request encoder: a newly declared arbiter, CRPD
+// or CPRO approach the encoder cannot name would otherwise only
+// surface as a runtime failure in the middle of a cluster sweep.
+func TestWireNameCompleteness(t *testing.T) {
+	ts := fixtures.Fig1TaskSet()
+	var cfgs []core.Config
+	for _, arb := range core.Arbiters() {
+		cfgs = append(cfgs, core.Config{Arbiter: arb})
+	}
+	for _, ap := range []crpd.Approach{
+		crpd.ECBUnion, crpd.UCBOnly, crpd.ECBOnly, crpd.UCBUnion, crpd.Combined,
+	} {
+		cfgs = append(cfgs, core.Config{CRPD: ap})
+	}
+	for _, ap := range []persistence.CPROApproach{
+		persistence.Union, persistence.MultisetUnion, persistence.FullReload, persistence.None,
+	} {
+		cfgs = append(cfgs, core.Config{CPRO: ap})
+	}
+	body, err := EncodeAnalyzeBody(ts, cfgs)
+	if err != nil {
+		t.Fatalf("EncodeAnalyzeBody: %v", err)
+	}
+	var req struct {
+		Configs []core.WireConfig `json:"configs"`
+	}
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Configs) != len(cfgs) {
+		t.Fatalf("encoded %d configs, want %d", len(req.Configs), len(cfgs))
+	}
+	for i, wc := range req.Configs {
+		if wc.Arbiter == "" || wc.CRPD == "" || wc.CPRO == "" {
+			t.Errorf("config %+v encoded with an empty name: %+v", cfgs[i], wc)
+			continue
+		}
+		if got, err := wc.Config(); err != nil || got != cfgs[i] {
+			t.Errorf("config %+v encoded as %+v, which parses back to %+v, %v", cfgs[i], wc, got, err)
+		}
+	}
+	if _, err := EncodeAnalyzeBody(ts, []core.Config{{Arbiter: core.Arbiter(99)}}); err == nil {
+		t.Error("EncodeAnalyzeBody accepted an undeclared arbiter")
+	}
+}
+
 func TestForwardedHopGuard(t *testing.T) {
 	req, _ := http.NewRequest(http.MethodPost, "http://x/v1/analyze", nil)
 	if Forwarded(req) {
@@ -118,34 +167,5 @@ func TestForwardedHopGuard(t *testing.T) {
 	}
 	if Forwarded(nil) {
 		t.Fatal("nil request reported as forwarded")
-	}
-}
-
-// TestWireNameCompleteness drives every declared engine enum value
-// through the client's wire-name mappers: a newly declared arbiter,
-// CRPD or CPRO approach the encoder cannot name would otherwise only
-// surface as a runtime failure in the middle of a cluster sweep.
-func TestWireNameCompleteness(t *testing.T) {
-	for _, arb := range core.Arbiters() {
-		if name, err := arbiterName(core.Config{Arbiter: arb}); err != nil || name == "" {
-			t.Errorf("arbiterName(%v) = %q, %v", arb, name, err)
-		}
-	}
-	if _, err := arbiterName(core.Config{Arbiter: core.Arbiter(99)}); err == nil {
-		t.Error("arbiterName accepted an undeclared arbiter")
-	}
-	for _, ap := range []crpd.Approach{
-		crpd.ECBUnion, crpd.UCBOnly, crpd.ECBOnly, crpd.UCBUnion, crpd.Combined,
-	} {
-		if name, err := crpdNameOf(core.Config{CRPD: ap}); err != nil || name == "" {
-			t.Errorf("crpdNameOf(%v) = %q, %v", ap, name, err)
-		}
-	}
-	for _, ap := range []persistence.CPROApproach{
-		persistence.Union, persistence.MultisetUnion, persistence.FullReload, persistence.None,
-	} {
-		if name, err := cproNameOf(core.Config{CPRO: ap}); err != nil || name == "" {
-			t.Errorf("cproNameOf(%v) = %q, %v", ap, name, err)
-		}
 	}
 }

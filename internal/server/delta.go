@@ -119,9 +119,9 @@ type wireEdit struct {
 }
 
 type wireDeltaRequest struct {
-	BaseKey string       `json:"base_key"`
-	Edits   []wireEdit   `json:"edits"`
-	Configs []wireConfig `json:"configs,omitempty"`
+	BaseKey string            `json:"base_key"`
+	Edits   []wireEdit        `json:"edits"`
+	Configs []core.WireConfig `json:"configs,omitempty"`
 }
 
 // wireDeltaResponse mirrors wireAnalyzeResponse with the resolved base
@@ -327,7 +327,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	oc, err := s.analyze(r.Context(), ri, ts, cfgs)
+	oc, err := s.analyze(r.Context(), ri, core.CanonicalKey(ts, cfgs), ts, cfgs)
 	if err != nil {
 		s.writeError(w, statusOf(err), err)
 		return

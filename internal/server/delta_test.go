@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cacheset"
+	"repro/internal/core"
 	"repro/internal/fixtures"
 	"repro/internal/taskmodel"
 	"repro/internal/telemetry"
@@ -225,13 +226,13 @@ func TestDeltaChainingAndConfigOverride(t *testing.T) {
 	}
 
 	// Config override without edits: same task set, different grid.
-	ov := wireDeltaRequest{BaseKey: baseKey, Configs: []wireConfig{{Arbiter: "rr"}}}
+	ov := wireDeltaRequest{BaseKey: baseKey, Configs: []core.WireConfig{{Arbiter: "rr"}}}
 	r4, d4 := postJSON(t, hs.URL+"/v1/analyze/delta", ov)
 	if r4.StatusCode != http.StatusOK {
 		t.Fatalf("config override: status %d\n%s", r4.StatusCode, d4)
 	}
 	env4 := decodeDelta(t, d4)
-	fr, fd := postAnalyze(t, hs.URL, requestBody(t, fixtures.Fig1TaskSet(), []wireConfig{{Arbiter: "rr"}}))
+	fr, fd := postAnalyze(t, hs.URL, requestBody(t, fixtures.Fig1TaskSet(), []core.WireConfig{{Arbiter: "rr"}}))
 	if fr.StatusCode != http.StatusOK {
 		t.Fatalf("fresh override reference: status %d\n%s", fr.StatusCode, fd)
 	}
@@ -298,7 +299,7 @@ func TestDeltaErrors(t *testing.T) {
 		{"invalid edited set", wireDeltaRequest{BaseKey: baseKey,
 			Edits: []wireEdit{{Task: "tau2", Field: "deadline", Value: raw(200)}}}}, // D > T
 		{"bad config override", wireDeltaRequest{BaseKey: baseKey,
-			Configs: []wireConfig{{Arbiter: "warp-drive"}}}},
+			Configs: []core.WireConfig{{Arbiter: "warp-drive"}}}},
 	}
 	for _, tc := range bad {
 		if resp, data := postJSON(t, hs.URL+"/v1/analyze/delta", tc.req); resp.StatusCode != http.StatusBadRequest {
@@ -413,7 +414,7 @@ func TestDeltaEditCannotInvalidateRegulatedConfig(t *testing.T) {
 	ts := fixtures.Fig1TaskSet()
 	ts.Platform.RegBudget = 4
 	ts.Platform.RegPeriod = 100
-	regCfgs := []wireConfig{{Arbiter: "regulated", Persistence: true}}
+	regCfgs := []core.WireConfig{{Arbiter: "regulated", Persistence: true}}
 	resp, data := postAnalyze(t, hs.URL, requestBody(t, ts, regCfgs))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("base: status %d\n%s", resp.StatusCode, data)

@@ -295,7 +295,7 @@ func TestFleetOwnerLossDegradesToLocalCompute(t *testing.T) {
 // never relay the 4xx or turn it into a 5xx.
 func TestFleetOldNodeRejectsNewArbiter(t *testing.T) {
 	f := newFleet(t, 3, nil)
-	regCfgs := []wireConfig{{Arbiter: "regulated", Persistence: true}}
+	regCfgs := []core.WireConfig{{Arbiter: "regulated", Persistence: true}}
 	// Search DMem variants (with the regulation parameters the config
 	// needs) for a body node 2 owns.
 	var body []byte
@@ -480,7 +480,7 @@ func TestFleetBatchMixedOwnership(t *testing.T) {
 // arbiter/CRPD/CPRO name in the vocabulary — otherwise a cluster-mode
 // sweep would miss the caches its own fleet warmed.
 func TestEncodeAnalyzeBodyRoundTrip(t *testing.T) {
-	wide := []wireConfig{
+	wide := []core.WireConfig{
 		{Arbiter: "fp"},
 		{Arbiter: "fp", Persistence: true, CRPD: "ecb-union", CPRO: "union"},
 		{Arbiter: "rr", Persistence: true, CRPD: "ucb-only", CPRO: "multiset"},

@@ -244,12 +244,13 @@ type outcome struct {
 // → engine, charging each stage to the request's timer. ctx is the
 // *waiting* context (the client's); the engine runs detached so a
 // coalesced result is never poisoned by one client's disconnect. ri
-// carries the per-request observability record and may be nil.
-func (s *Server) analyze(ctx context.Context, ri *reqInfo, ts *taskmodel.TaskSet, cfgs []core.Config) (outcome, error) {
+// carries the per-request observability record and may be nil. key is
+// core.CanonicalKey(ts, cfgs), computed once by the caller (which also
+// routes on it).
+func (s *Server) analyze(ctx context.Context, ri *reqInfo, key string, ts *taskmodel.TaskSet, cfgs []core.Config) (outcome, error) {
 	st := ri.stageTimer()
 	s.obs.Add(telemetry.CtrServerRequests, 1)
 	t0 := st.Now()
-	key := core.CanonicalKey(ts, cfgs)
 	raw, hit := s.cache.get(key)
 	st.AddSince(telemetry.StageCache, t0)
 	if hit {
@@ -483,7 +484,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		degraded = true
 	}
-	oc, err := s.analyze(r.Context(), ri, ts, cfgs)
+	oc, err := s.analyze(r.Context(), ri, key, ts, cfgs)
 	if err != nil {
 		s.writeError(w, statusOf(err), err)
 		return
@@ -565,7 +566,7 @@ func (s *Server) batchItem(r *http.Request, ri *reqInfo, item *wireAnalyzeReques
 		}
 		degraded = true
 	}
-	oc, err := s.analyze(r.Context(), ri, ts, cfgs)
+	oc, err := s.analyze(r.Context(), ri, key, ts, cfgs)
 	if err != nil {
 		return wireBatchItem{Key: oc.key, Error: err.Error(), Status: statusOf(err)}
 	}

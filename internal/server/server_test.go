@@ -20,7 +20,7 @@ import (
 
 // requestBody builds the wire body for one task set + configuration
 // list, reusing the CLI JSON schema for the task set.
-func requestBody(t *testing.T, ts *taskmodel.TaskSet, cfgs []wireConfig) []byte {
+func requestBody(t *testing.T, ts *taskmodel.TaskSet, cfgs []core.WireConfig) []byte {
 	t.Helper()
 	var tsBuf bytes.Buffer
 	if err := ts.WriteJSON(&tsBuf); err != nil {
@@ -56,14 +56,14 @@ func decodeEnvelope(t *testing.T, data []byte) wireAnalyzeResponse {
 	return env
 }
 
-var paperConfigs = []wireConfig{
+var paperConfigs = []core.WireConfig{
 	{Arbiter: "fp"},
 	{Arbiter: "fp", Persistence: true},
 	{Arbiter: "rr", Persistence: true},
 	{Arbiter: "tdma", Persistence: true, CPRO: "multiset"},
 }
 
-func coreConfigs(t *testing.T, wire []wireConfig) []core.Config {
+func coreConfigs(t *testing.T, wire []core.WireConfig) []core.Config {
 	t.Helper()
 	var tsBuf bytes.Buffer
 	if err := fixtures.Fig1TaskSet().WriteJSON(&tsBuf); err != nil {
@@ -360,7 +360,7 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	item := wireAnalyzeRequest{TaskSet: tsBuf.Bytes(), Configs: paperConfigs[:2]}
-	bad := wireAnalyzeRequest{TaskSet: tsBuf.Bytes(), Configs: []wireConfig{{Arbiter: "warp-drive"}}}
+	bad := wireAnalyzeRequest{TaskSet: tsBuf.Bytes(), Configs: []core.WireConfig{{Arbiter: "warp-drive"}}}
 	body, _ := json.Marshal(wireBatchRequest{Requests: []wireAnalyzeRequest{item, item, bad}})
 
 	resp, err := http.Post(hs.URL+"/v1/analyze/batch", "application/json", bytes.NewReader(body))
@@ -507,8 +507,8 @@ func TestCanonicalizationMergesEquivalentWire(t *testing.T) {
 	hs := httptest.NewServer(New(Options{Observer: obs}).Handler())
 	defer hs.Close()
 
-	a := requestBody(t, fixtures.Fig1TaskSet(), []wireConfig{{Arbiter: "rr", CPRO: "union"}})
-	b := requestBody(t, fixtures.Fig1TaskSet(), []wireConfig{{Arbiter: "rr", CPRO: "full"}})
+	a := requestBody(t, fixtures.Fig1TaskSet(), []core.WireConfig{{Arbiter: "rr", CPRO: "union"}})
+	b := requestBody(t, fixtures.Fig1TaskSet(), []core.WireConfig{{Arbiter: "rr", CPRO: "full"}})
 	respA, dataA := postAnalyze(t, hs.URL, a)
 	respB, dataB := postAnalyze(t, hs.URL, b)
 	if respA.StatusCode != http.StatusOK || respB.StatusCode != http.StatusOK {

@@ -1,60 +1,38 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
 
-// Policy is the bus arbitration policy simulated on the shared memory
-// bus. The semantics mirror the assumptions under which the analysis
-// equations are sound:
+	"repro/internal/core"
+)
+
+// The simulated bus arbiters (core.Arbiter values; core.Perfect has
+// no bus to simulate and Run rejects it). The semantics mirror the
+// assumptions under which the analysis equations are sound:
 //
-//   - PolicyFP: work-conserving; the pending request whose task has the
+//   - FP: work-conserving; the pending request whose task has the
 //     highest priority wins; a transaction in service is never
 //     preempted.
-//   - PolicyRR: work-conserving round robin over cores with up to s
+//   - RR: work-conserving round robin over cores with up to s
 //     consecutive services per core's turn; cores without a pending
 //     request are skipped instantly.
-//   - PolicyTDMA: non-work-conserving, demand-driven slotting: when the
+//   - TDMA: non-work-conserving, demand-driven slotting: when the
 //     bus is free, the turn owner's request is served if present;
 //     otherwise the bus idles for a full slot (d_mem) and the turn
 //     advances — other cores cannot steal the unused slot. Each core
 //     owns s consecutive slots per cycle of NumCores×s, so a request
 //     waits at most (NumCores−1)·s slots plus one in-service
 //     transaction, exactly Eq. (9)'s accounting.
-//   - PolicyRegulated: work-conserving MemGuard-style bandwidth
+//   - Regulated: work-conserving MemGuard-style bandwidth
 //     regulation: every core's budget of regQ accesses refills every
 //     regP cycles; cores with budget left have strict priority over
 //     exhausted ones, each class served round-robin one access at a
 //     time, and exhausted cores reclaim otherwise-idle bandwidth. A
 //     budgeted grant spends one unit of the granting core's budget.
-//   - PolicyParAware: work-conserving round robin over cores, one
+//   - ParAware: work-conserving round robin over cores, one
 //     access per turn — the single-outstanding-request arbitration the
 //     parallelism-aware per-access bound models (each access waits for
 //     at most one in-flight request per other core).
-type Policy int
-
-const (
-	PolicyFP Policy = iota
-	PolicyRR
-	PolicyTDMA
-	PolicyRegulated
-	PolicyParAware
-)
-
-func (p Policy) String() string {
-	switch p {
-	case PolicyFP:
-		return "FP"
-	case PolicyRR:
-		return "RR"
-	case PolicyTDMA:
-		return "TDMA"
-	case PolicyRegulated:
-		return "Regulated"
-	case PolicyParAware:
-		return "ParAware"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
 
 // request is one pending bus transaction: core wants block, issued by
 // the task with the given priority.
@@ -67,7 +45,7 @@ type request struct {
 // bus models the shared memory bus: at most one transaction in
 // service, at most one pending request per core.
 type bus struct {
-	policy   Policy
+	policy   core.Arbiter
 	numCores int
 	slotSize int
 	dmem     int64
@@ -103,7 +81,7 @@ type bus struct {
 	idleHeld int64 // TDMA: cycles idled away while demand was pending
 }
 
-func newBus(policy Policy, numCores, slotSize int, dmem, regQ, regP int64) *bus {
+func newBus(policy core.Arbiter, numCores, slotSize int, dmem, regQ, regP int64) *bus {
 	b := &bus{
 		policy:   policy,
 		numCores: numCores,
@@ -113,7 +91,7 @@ func newBus(policy Policy, numCores, slotSize int, dmem, regQ, regP int64) *bus 
 		regP:     regP,
 		pending:  make([]*request, numCores),
 	}
-	if policy == PolicyRegulated {
+	if policy == core.Regulated {
 		b.budget = make([]int64, numCores)
 	}
 	return b
@@ -169,7 +147,7 @@ func (b *bus) advanceTurn() {
 // slotLimit is the number of consecutive services per turn: the
 // configured slot size for RR/TDMA, one for the parallelism-aware bus.
 func (b *bus) slotLimit() int {
-	if b.policy == PolicyParAware {
+	if b.policy == core.ParAware {
 		return 1
 	}
 	return b.slotSize
@@ -179,7 +157,7 @@ func (b *bus) slotLimit() int {
 // boundaries (cycle 0 starts every core fully budgeted) and advances
 // the regulation clock. Called once per cycle, before arbitration.
 func (b *bus) replenish() {
-	if b.policy != PolicyRegulated {
+	if b.policy != core.Regulated {
 		return
 	}
 	if b.now%b.regP == 0 {
@@ -229,12 +207,12 @@ func (b *bus) tick() *request {
 	b.busy = false
 	done := b.current
 	switch b.policy {
-	case PolicyRR, PolicyTDMA, PolicyParAware:
+	case core.RR, core.TDMA, core.ParAware:
 		b.turnUsed++
 		if b.turnUsed >= b.slotLimit() {
 			b.advanceTurn()
 		}
-	case PolicyRegulated:
+	case core.Regulated:
 		// Slot-1 round robin within the class the grant was made under;
 		// the other class's pointer is untouched.
 		if b.curReclaim {
@@ -250,7 +228,7 @@ func (b *bus) tick() *request {
 // TDMA it may instead schedule an idle slot.
 func (b *bus) grant() {
 	switch b.policy {
-	case PolicyFP:
+	case core.FP:
 		best := -1
 		for c, r := range b.pending {
 			if r == nil {
@@ -263,7 +241,7 @@ func (b *bus) grant() {
 		if best >= 0 {
 			b.start(best)
 		}
-	case PolicyRR, PolicyParAware:
+	case core.RR, core.ParAware:
 		if !b.hasPending() {
 			return
 		}
@@ -275,7 +253,7 @@ func (b *bus) grant() {
 			}
 			b.advanceTurn()
 		}
-	case PolicyRegulated:
+	case core.Regulated:
 		// Budgeted requests first, round-robin from the budgeted turn
 		// pointer; a grant spends one budget unit.
 		for scanned := 0; scanned < b.numCores; scanned++ {
@@ -300,7 +278,7 @@ func (b *bus) grant() {
 				return
 			}
 		}
-	case PolicyTDMA:
+	case core.TDMA:
 		if !b.hasPending() {
 			// No demand: hold the turn open until a request arrives.
 			return
@@ -312,7 +290,7 @@ func (b *bus) grant() {
 		// The owner has no demand but others do: burn one full slot.
 		b.idleSlots = b.dmem
 	default:
-		panic(fmt.Sprintf("sim: unknown policy %d", int(b.policy)))
+		panic(fmt.Sprintf("sim: no bus model for arbiter %v", b.policy))
 	}
 }
 

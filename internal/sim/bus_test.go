@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/core"
+)
 
 // drive advances the bus n cycles, recording completions per core.
 func drive(b *bus, n int) []request {
@@ -14,7 +18,7 @@ func drive(b *bus, n int) []request {
 }
 
 func TestFPBusGrantsHighestPriority(t *testing.T) {
-	b := newBus(PolicyFP, 3, 1, 4, 0, 0)
+	b := newBus(core.FP, 3, 1, 4, 0, 0)
 	b.submit(request{core: 0, block: 1, priority: 5})
 	b.submit(request{core: 1, block: 2, priority: 1}) // highest
 	b.submit(request{core: 2, block: 3, priority: 3})
@@ -28,7 +32,7 @@ func TestFPBusGrantsHighestPriority(t *testing.T) {
 }
 
 func TestFPBusNonPreemptiveService(t *testing.T) {
-	b := newBus(PolicyFP, 2, 1, 5, 0, 0)
+	b := newBus(core.FP, 2, 1, 5, 0, 0)
 	b.submit(request{core: 0, block: 1, priority: 9})
 	drive(b, 2) // low-priority transaction in service
 	b.submit(request{core: 1, block: 2, priority: 0})
@@ -39,7 +43,7 @@ func TestFPBusNonPreemptiveService(t *testing.T) {
 }
 
 func TestBackToBackTransactionsNoGap(t *testing.T) {
-	b := newBus(PolicyFP, 2, 1, 5, 0, 0)
+	b := newBus(core.FP, 2, 1, 5, 0, 0)
 	b.submit(request{core: 0, block: 1, priority: 0})
 	b.submit(request{core: 1, block: 2, priority: 1})
 	drive(b, 10)
@@ -49,7 +53,7 @@ func TestBackToBackTransactionsNoGap(t *testing.T) {
 }
 
 func TestRRSkipsIdleCoresInstantly(t *testing.T) {
-	b := newBus(PolicyRR, 4, 2, 3, 0, 0)
+	b := newBus(core.RR, 4, 2, 3, 0, 0)
 	// Only core 3 has demand; it must be served immediately even though
 	// the turn pointer starts at core 0.
 	b.submit(request{core: 3, block: 1, priority: 0})
@@ -61,7 +65,7 @@ func TestRRSkipsIdleCoresInstantly(t *testing.T) {
 
 func TestRRSlotQuota(t *testing.T) {
 	// s=2: core 0 gets at most two consecutive services before core 1.
-	b := newBus(PolicyRR, 2, 2, 1, 0, 0)
+	b := newBus(core.RR, 2, 2, 1, 0, 0)
 	b.submit(request{core: 0, block: 1, priority: 0})
 	b.submit(request{core: 1, block: 9, priority: 1})
 	var order []int
@@ -89,7 +93,7 @@ func TestRRSlotQuota(t *testing.T) {
 func TestTDMAIdlesUnusedSlot(t *testing.T) {
 	// Non-work-conserving: core 1's request must wait for core 0's idle
 	// slot to elapse.
-	b := newBus(PolicyTDMA, 2, 1, 4, 0, 0)
+	b := newBus(core.TDMA, 2, 1, 4, 0, 0)
 	b.submit(request{core: 1, block: 7, priority: 0})
 	done := drive(b, 4)
 	if len(done) != 0 {
@@ -108,7 +112,7 @@ func TestTDMAWorstCaseWaitBound(t *testing.T) {
 	// A request never waits more than (cores−1)·s slots plus one
 	// in-flight transaction.
 	cores, s, dmem := 4, 2, int64(3)
-	b := newBus(PolicyTDMA, cores, s, dmem, 0, 0)
+	b := newBus(core.TDMA, cores, s, dmem, 0, 0)
 	// Saturate every other core so slots are used, then measure core
 	// 2's wait.
 	submitAll := func() {
@@ -137,7 +141,7 @@ func TestTDMAWorstCaseWaitBound(t *testing.T) {
 func TestParAwareServesOneAccessPerTurn(t *testing.T) {
 	// Slot size 3 is configured but must be ignored: the
 	// parallelism-aware bus alternates single accesses.
-	b := newBus(PolicyParAware, 2, 3, 1, 0, 0)
+	b := newBus(core.ParAware, 2, 3, 1, 0, 0)
 	b.submit(request{core: 0, block: 1, priority: 0})
 	b.submit(request{core: 1, block: 9, priority: 1})
 	var order []int
@@ -160,7 +164,7 @@ func TestRegulatedBudgetedPriorityAndReclaim(t *testing.T) {
 	// period. Core 0 floods the bus; once its budget is spent, core 1's
 	// budgeted request must preempt further grants to core 0, and core
 	// 0's surplus is served only as reclaim afterwards.
-	b := newBus(PolicyRegulated, 2, 2, 1, 1, 100)
+	b := newBus(core.Regulated, 2, 2, 1, 1, 100)
 	b.submit(request{core: 0, block: 1, priority: 0})
 	var order []int
 	for i := 0; i < 4; i++ {
@@ -190,7 +194,7 @@ func TestRegulatedBudgetReplenishes(t *testing.T) {
 	// Q=2, P=10, d_mem=1, one core: after exhausting its budget the
 	// core still gets served (reclaim, work-conserving), and the refill
 	// at the period boundary restores budgeted service.
-	b := newBus(PolicyRegulated, 1, 2, 1, 2, 10)
+	b := newBus(core.Regulated, 1, 2, 1, 2, 10)
 	served := 0
 	for i := 0; i < 25; i++ {
 		if b.pending[0] == nil && !b.busy {
@@ -209,7 +213,7 @@ func TestRegulatedBudgetReplenishes(t *testing.T) {
 }
 
 func TestCancelPendingRequest(t *testing.T) {
-	b := newBus(PolicyFP, 2, 1, 5, 0, 0)
+	b := newBus(core.FP, 2, 1, 5, 0, 0)
 	b.submit(request{core: 0, block: 1, priority: 0})
 	drive(b, 1) // core 0 in service
 	b.submit(request{core: 1, block: 2, priority: 1})
@@ -229,7 +233,7 @@ func TestCancelPendingRequest(t *testing.T) {
 }
 
 func TestSubmitTwicePanics(t *testing.T) {
-	b := newBus(PolicyFP, 1, 1, 5, 0, 0)
+	b := newBus(core.FP, 1, 1, 5, 0, 0)
 	b.submit(request{core: 0, block: 1, priority: 0})
 	defer func() {
 		if recover() == nil {
@@ -240,7 +244,7 @@ func TestSubmitTwicePanics(t *testing.T) {
 }
 
 func TestInService(t *testing.T) {
-	b := newBus(PolicyFP, 2, 1, 5, 0, 0)
+	b := newBus(core.FP, 2, 1, 5, 0, 0)
 	if b.inService(0) {
 		t.Fatal("idle bus reports in-service")
 	}

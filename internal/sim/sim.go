@@ -1,7 +1,8 @@
 // Package sim is a cycle-accurate discrete simulator of the paper's
 // platform model: m cores with private direct-mapped instruction
 // caches, partitioned fixed-priority preemptive scheduling per core,
-// and a shared memory bus under FP, RR or TDMA arbitration.
+// and a shared memory bus under FP, RR, TDMA, Regulated or ParAware
+// arbitration.
 //
 // Tasks execute real programs (package program): every block reference
 // consults the core's cache, and misses become bus transactions of
@@ -29,6 +30,7 @@ import (
 	"sort"
 
 	"repro/internal/cachesim"
+	"repro/internal/core"
 	"repro/internal/program"
 	"repro/internal/taskmodel"
 )
@@ -42,8 +44,8 @@ type TaskBinding struct {
 
 // Config parameterises one simulation run.
 type Config struct {
-	// Policy is the bus arbitration policy.
-	Policy Policy
+	// Policy is the bus arbiter: FP, RR, TDMA, Regulated or ParAware.
+	Policy core.Arbiter
 	// Horizon is the number of cycles to simulate.
 	Horizon taskmodel.Time
 	// Offsets optionally delays the first release of each task
@@ -197,6 +199,11 @@ func Run(plat taskmodel.Platform, bindings []TaskBinding, cfg Config) (*Result, 
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("sim: horizon %d, need > 0", cfg.Horizon)
 	}
+	switch cfg.Policy {
+	case core.FP, core.RR, core.TDMA, core.Regulated, core.ParAware:
+	default:
+		return nil, fmt.Errorf("sim: no bus model for arbiter %v", cfg.Policy)
+	}
 	for i := range bindings {
 		if bindings[i].Task == nil || bindings[i].Prog == nil {
 			return nil, fmt.Errorf("sim: binding %d missing task or program", i)
@@ -217,7 +224,7 @@ func Run(plat taskmodel.Platform, bindings []TaskBinding, cfg Config) (*Result, 
 			cores[i].dl2 = int64(plat.DL2)
 		}
 	}
-	if cfg.Policy == PolicyRegulated && (plat.RegBudget < 1 || plat.RegPeriod < 1) {
+	if cfg.Policy == core.Regulated && (plat.RegBudget < 1 || plat.RegPeriod < 1) {
 		return nil, fmt.Errorf("sim: regulated policy needs platform RegBudget >= 1 and RegPeriod >= 1 (got Q=%d P=%d)", plat.RegBudget, plat.RegPeriod)
 	}
 	b := newBus(cfg.Policy, plat.NumCores, plat.SlotSize, int64(plat.DMem), plat.RegBudget, int64(plat.RegPeriod))

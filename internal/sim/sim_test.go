@@ -3,10 +3,12 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/benchsuite"
 	"repro/internal/cacheset"
+	"repro/internal/core"
 	"repro/internal/program"
 	"repro/internal/staticwcet"
 	"repro/internal/taskgen"
@@ -37,7 +39,7 @@ func soloBinding(period taskmodel.Time) TaskBinding {
 func TestSoloTaskExactTiming(t *testing.T) {
 	plat := soloPlatform(1, 5)
 	bind := soloBinding(100)
-	res, err := Run(plat, []TaskBinding{bind}, Config{Policy: PolicyFP, Horizon: 250})
+	res, err := Run(plat, []TaskBinding{bind}, Config{Policy: core.FP, Horizon: 250})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -73,7 +75,7 @@ func TestSoloTaskExactTiming(t *testing.T) {
 func TestSoloTaskTDMAWithinAnalyticBound(t *testing.T) {
 	plat := soloPlatform(2, 5)
 	bind := soloBinding(400)
-	res, err := Run(plat, []TaskBinding{bind}, Config{Policy: PolicyTDMA, Horizon: 400})
+	res, err := Run(plat, []TaskBinding{bind}, Config{Policy: core.TDMA, Horizon: 400})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -90,20 +92,20 @@ func TestSoloTaskTDMAWithinAnalyticBound(t *testing.T) {
 func TestRunErrors(t *testing.T) {
 	plat := soloPlatform(1, 5)
 	bind := soloBinding(100)
-	if _, err := Run(plat, []TaskBinding{bind}, Config{Policy: PolicyFP, Horizon: 0}); err == nil {
+	if _, err := Run(plat, []TaskBinding{bind}, Config{Policy: core.FP, Horizon: 0}); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := Run(plat, []TaskBinding{{Task: bind.Task}}, Config{Policy: PolicyFP, Horizon: 10}); err == nil {
+	if _, err := Run(plat, []TaskBinding{{Task: bind.Task}}, Config{Policy: core.FP, Horizon: 10}); err == nil {
 		t.Error("missing program accepted")
 	}
 	bad := soloBinding(100)
 	bad.Task.Core = 5
-	if _, err := Run(plat, []TaskBinding{bad}, Config{Policy: PolicyFP, Horizon: 10}); err == nil {
+	if _, err := Run(plat, []TaskBinding{bad}, Config{Policy: core.FP, Horizon: 10}); err == nil {
 		t.Error("bad core accepted")
 	}
 	badPlat := plat
 	badPlat.DMem = 0
-	if _, err := Run(badPlat, []TaskBinding{bind}, Config{Policy: PolicyFP, Horizon: 10}); err == nil {
+	if _, err := Run(badPlat, []TaskBinding{bind}, Config{Policy: core.FP, Horizon: 10}); err == nil {
 		t.Error("bad platform accepted")
 	}
 }
@@ -112,7 +114,7 @@ func TestOffsetsDelayFirstRelease(t *testing.T) {
 	plat := soloPlatform(1, 5)
 	bind := soloBinding(100)
 	res, err := Run(plat, []TaskBinding{bind}, Config{
-		Policy: PolicyFP, Horizon: 150, Offsets: map[int]taskmodel.Time{0: 60},
+		Policy: core.FP, Horizon: 150, Offsets: map[int]taskmodel.Time{0: 60},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +147,7 @@ func TestPreemptionCausesCacheReloads(t *testing.T) {
 		PD: 480, MD: 4, MDr: 0, Period: 2000, Deadline: 2000,
 		ECB: cacheset.Of(n, 0, 1, 2, 3), UCB: cacheset.Of(n, 0, 1, 2, 3), PCB: cacheset.Of(n, 0, 1, 2, 3),
 	}
-	res, err := Run(plat, []TaskBinding{{hi, hiProg}, {lo, loProg}}, Config{Policy: PolicyFP, Horizon: 2000})
+	res, err := Run(plat, []TaskBinding{{hi, hiProg}, {lo, loProg}}, Config{Policy: core.FP, Horizon: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +252,21 @@ func TestPercentileNearestRankBoundaries(t *testing.T) {
 	}
 }
 
-func TestPolicyStrings(t *testing.T) {
-	for p, want := range map[Policy]string{PolicyFP: "FP", PolicyRR: "RR", PolicyTDMA: "TDMA", Policy(7): "Policy(7)"} {
-		if got := p.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", int(p), got, want)
+// TestRunRejectsUnsimulatableArbiter pins Run's up-front check: the
+// contention-free Perfect bus and undeclared arbiter values have no bus
+// model, so Run must fail before simulating instead of panicking at the
+// first grant.
+func TestRunRejectsUnsimulatableArbiter(t *testing.T) {
+	plat := soloPlatform(1, 5)
+	bind := soloBinding(100)
+	for _, arb := range []core.Arbiter{core.Perfect, core.Arbiter(9), core.Arbiter(-1)} {
+		res, err := Run(plat, []TaskBinding{bind}, Config{Policy: arb, Horizon: 150})
+		if err == nil || res != nil {
+			t.Errorf("Run(%v) = %v, %v; want an error", arb, res, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), arb.String()) {
+			t.Errorf("Run(%v) error %q does not name the arbiter", arb, err)
 		}
 	}
 }
@@ -314,7 +327,7 @@ func generateBindings(t *testing.T, seed int64, util float64, cores, perCore int
 func TestGeneratedWorkloadRuns(t *testing.T) {
 	plat, bindings := generateBindings(t, 3, 0.3, 2, 3)
 	horizon := HorizonForJobs(bindings, 2)
-	for _, pol := range []Policy{PolicyFP, PolicyRR, PolicyTDMA} {
+	for _, pol := range []core.Arbiter{core.FP, core.RR, core.TDMA} {
 		res, err := Run(plat, bindings, Config{Policy: pol, Horizon: horizon})
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
@@ -355,7 +368,7 @@ func TestTwoLevelSoloExactTiming(t *testing.T) {
 		PD: 4, MD: 2, MDr: 0, Period: 500, Deadline: 500,
 		ECB: cacheset.Of(4, 0), UCB: cacheset.Of(4, 0), PCB: cacheset.New(4),
 	}
-	res, err := Run(plat, []TaskBinding{{Task: task, Prog: prog}}, Config{Policy: PolicyFP, Horizon: 100})
+	res, err := Run(plat, []TaskBinding{{Task: task, Prog: prog}}, Config{Policy: core.FP, Horizon: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +414,7 @@ func TestTwoLevelWithinHierarchyAnalysisBound(t *testing.T) {
 			ECB: cacheset.New(8), UCB: cacheset.New(8), PCB: cacheset.New(8),
 		}
 		res, err := Run(plat, []TaskBinding{{Task: task, Prog: prog}},
-			Config{Policy: PolicyRR, Horizon: period * 3})
+			Config{Policy: core.RR, Horizon: period * 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +456,7 @@ func TestNonPreemptiveBlocksHighPriority(t *testing.T) {
 	// releases under non-preemptive dispatch.
 	col := &CollectTracer{}
 	np, err := Run(plat, bindings, Config{
-		Policy: PolicyFP, Horizon: 1000, NonPreemptive: true, Trace: col,
+		Policy: core.FP, Horizon: 1000, NonPreemptive: true, Trace: col,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -453,7 +466,7 @@ func TestNonPreemptiveBlocksHighPriority(t *testing.T) {
 			t.Fatalf("preemption event under non-preemptive scheduling: %+v", e)
 		}
 	}
-	p, err := Run(plat, bindings, Config{Policy: PolicyFP, Horizon: 1000})
+	p, err := Run(plat, bindings, Config{Policy: core.FP, Horizon: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +486,7 @@ func TestNonPreemptiveBlocksHighPriority(t *testing.T) {
 func TestResponseDistribution(t *testing.T) {
 	plat := soloPlatform(1, 5)
 	bind := soloBinding(100)
-	res, err := Run(plat, []TaskBinding{bind}, Config{Policy: PolicyFP, Horizon: 450})
+	res, err := Run(plat, []TaskBinding{bind}, Config{Policy: core.FP, Horizon: 450})
 	if err != nil {
 		t.Fatal(err)
 	}

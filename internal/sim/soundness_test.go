@@ -18,15 +18,6 @@ func TestAnalysisDominatesSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation soundness sweep skipped in -short mode")
 	}
-	type variant struct {
-		arb core.Arbiter
-		pol Policy
-	}
-	variants := []variant{
-		{core.FP, PolicyFP},
-		{core.RR, PolicyRR},
-		{core.TDMA, PolicyTDMA},
-	}
 	for seed := int64(0); seed < 12; seed++ {
 		util := 0.15 + 0.05*float64(seed%5)
 		plat, bindings := generateBindings(t, seed, util, 2, 3)
@@ -39,20 +30,20 @@ func TestAnalysisDominatesSimulation(t *testing.T) {
 		if horizon > 5_000_000 {
 			continue // keep the sweep fast
 		}
-		for _, v := range variants {
-			simRes, err := Run(plat, bindings, Config{Policy: v.pol, Horizon: horizon})
+		for _, arb := range []core.Arbiter{core.FP, core.RR, core.TDMA} {
+			simRes, err := Run(plat, bindings, Config{Policy: arb, Horizon: horizon})
 			if err != nil {
-				t.Fatalf("seed %d %v: sim: %v", seed, v.pol, err)
+				t.Fatalf("seed %d %v: sim: %v", seed, arb, err)
 			}
 			for _, anaCfg := range []core.Config{
-				{Arbiter: v.arb},
-				{Arbiter: v.arb, Persistence: true},
-				{Arbiter: v.arb, Persistence: true, CPRO: persistence.MultisetUnion},
+				{Arbiter: arb},
+				{Arbiter: arb, Persistence: true},
+				{Arbiter: arb, Persistence: true, CPRO: persistence.MultisetUnion},
 			} {
 				persistenceOn := anaCfg.Persistence
 				anaRes, err := core.Analyze(ts, anaCfg, core.Options{})
 				if err != nil {
-					t.Fatalf("seed %d %v: analysis: %v", seed, v.arb, err)
+					t.Fatalf("seed %d %v: analysis: %v", seed, arb, err)
 				}
 				if !anaRes.Schedulable {
 					continue // no bound claimed
@@ -67,11 +58,11 @@ func TestAnalysisDominatesSimulation(t *testing.T) {
 					}
 					if st.MaxResponse > bound[prio] {
 						t.Errorf("seed %d u=%.2f %v (persistence=%v) task %s: observed %d > WCRT bound %d",
-							seed, util, v.arb, persistenceOn, st.Name, st.MaxResponse, bound[prio])
+							seed, util, arb, persistenceOn, st.Name, st.MaxResponse, bound[prio])
 					}
 					if st.DeadlineMisses > 0 {
 						t.Errorf("seed %d u=%.2f %v (persistence=%v) task %s: %d deadline misses despite schedulable verdict",
-							seed, util, v.arb, persistenceOn, st.Name, st.DeadlineMisses)
+							seed, util, arb, persistenceOn, st.Name, st.DeadlineMisses)
 					}
 				}
 			}
@@ -99,7 +90,7 @@ func TestAnalysisDominatesSimulationWithOffsets(t *testing.T) {
 		if horizon > 5_000_000 {
 			continue
 		}
-		simRes, err := Run(plat, bindings, Config{Policy: PolicyRR, Horizon: horizon, Offsets: offsets})
+		simRes, err := Run(plat, bindings, Config{Policy: core.RR, Horizon: horizon, Offsets: offsets})
 		if err != nil {
 			t.Fatalf("seed %d: sim: %v", seed, err)
 		}
@@ -130,7 +121,7 @@ func TestSimulatedMissesWithinAnalyticalDemand(t *testing.T) {
 	plat, bindings := generateBindings(t, 42, 0.2, 1, 1)
 	b := bindings[0]
 	horizon := b.Task.Period * 4
-	res, err := Run(plat, bindings, Config{Policy: PolicyFP, Horizon: horizon})
+	res, err := Run(plat, bindings, Config{Policy: core.FP, Horizon: horizon})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +160,7 @@ func TestAnalysisDominatesSimulationSporadic(t *testing.T) {
 		}
 		for _, jitter := range []float64{0.1, 0.5, 1.0} {
 			simRes, err := Run(plat, bindings, Config{
-				Policy: PolicyRR, Horizon: horizon,
+				Policy: core.RR, Horizon: horizon,
 				ArrivalJitter: jitter, Seed: seed,
 			})
 			if err != nil {
@@ -201,11 +192,11 @@ func TestAnalysisDominatesSimulationSporadic(t *testing.T) {
 func TestSporadicReducesLoad(t *testing.T) {
 	plat, bindings := generateBindings(t, 7, 0.2, 1, 2)
 	horizon := HorizonForJobs(bindings, 5)
-	periodic, err := Run(plat, bindings, Config{Policy: PolicyFP, Horizon: horizon})
+	periodic, err := Run(plat, bindings, Config{Policy: core.FP, Horizon: horizon})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sporadic, err := Run(plat, bindings, Config{Policy: PolicyFP, Horizon: horizon, ArrivalJitter: 1.0, Seed: 1})
+	sporadic, err := Run(plat, bindings, Config{Policy: core.FP, Horizon: horizon, ArrivalJitter: 1.0, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

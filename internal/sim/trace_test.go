@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cacheset"
+	"repro/internal/core"
 	"repro/internal/program"
 	"repro/internal/taskmodel"
 )
@@ -13,7 +14,7 @@ func TestTraceEventsSoloTask(t *testing.T) {
 	plat := soloPlatform(1, 5)
 	bind := soloBinding(100)
 	col := &CollectTracer{}
-	_, err := Run(plat, []TaskBinding{bind}, Config{Policy: PolicyFP, Horizon: 150, Trace: col})
+	_, err := Run(plat, []TaskBinding{bind}, Config{Policy: core.FP, Horizon: 150, Trace: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestTracePreemptionEvent(t *testing.T) {
 	_, err := Run(plat, []TaskBinding{
 		{hi, &program.Program{Name: "hi", Root: program.Straight(0, 2, 2)}},
 		{lo, &program.Program{Name: "lo", Root: program.L(50, program.Straight(2, 2, 2))}},
-	}, Config{Policy: PolicyFP, Horizon: 400, Trace: col})
+	}, Config{Policy: core.FP, Horizon: 400, Trace: col})
 	if err != nil {
 		t.Fatal(err)
 	}
