@@ -36,28 +36,44 @@ func benchOpts() experiments.Options {
 	}
 }
 
-// BenchmarkTable1 regenerates Table I: static analysis of all sixteen
-// benchmarks at the default geometry.
-func BenchmarkTable1(b *testing.B) {
-	cache := taskmodel.CacheConfig{NumSets: 256, BlockSizeBytes: 32}
+// benchOp times op over b.N iterations behind one untimed warm-up
+// call. CI runs every benchmark at -benchtime 1x, and without the
+// warm-up that single timed call would also pay the first-use costs
+// later iterations skip — the static-analysis pools behind
+// taskgen.PoolFromSuite, the engine's pooled scratch — so its time and
+// allocation count would depend on what earlier benchmarks left behind.
+func benchOp(b *testing.B, op func() error) {
+	b.Helper()
+	if err := op(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table1(cache)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := experiments.RenderTable1(io.Discard, rows); err != nil {
+		if err := op(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkTable1 regenerates Table I: static analysis of all sixteen
+// benchmarks at the default geometry.
+func BenchmarkTable1(b *testing.B) {
+	cache := taskmodel.CacheConfig{NumSets: 256, BlockSizeBytes: 32}
+	benchOp(b, func() error {
+		rows, err := experiments.Table1(cache)
+		if err != nil {
+			return err
+		}
+		return experiments.RenderTable1(io.Discard, rows)
+	})
+}
+
 func benchFig2(b *testing.B, arb core.Arbiter) {
 	opts := benchOpts()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig2(arb, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, func() error {
+		_, err := experiments.Fig2(arb, opts)
+		return err
+	})
 }
 
 // BenchmarkFig2a: schedulability vs utilization, FP bus.
@@ -72,42 +88,38 @@ func BenchmarkFig2c(b *testing.B) { benchFig2(b, core.TDMA) }
 // BenchmarkFig3a: weighted schedulability vs number of cores.
 func BenchmarkFig3a(b *testing.B) {
 	opts := benchOpts()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3a(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, func() error {
+		_, err := experiments.Fig3a(opts)
+		return err
+	})
 }
 
 // BenchmarkFig3b: weighted schedulability vs memory reload time.
 func BenchmarkFig3b(b *testing.B) {
 	opts := benchOpts()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3b(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, func() error {
+		_, err := experiments.Fig3b(opts)
+		return err
+	})
 }
 
 // BenchmarkFig3c: weighted schedulability vs cache size (parameters
 // re-derived per geometry).
 func BenchmarkFig3c(b *testing.B) {
 	opts := benchOpts()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3c(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, func() error {
+		_, err := experiments.Fig3c(opts)
+		return err
+	})
 }
 
 // BenchmarkFig3d: weighted schedulability vs RR/TDMA slot size.
 func BenchmarkFig3d(b *testing.B) {
 	opts := benchOpts()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig3d(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, func() error {
+		_, err := experiments.Fig3d(opts)
+		return err
+	})
 }
 
 // --- ablations --------------------------------------------------------------
@@ -134,11 +146,10 @@ func BenchmarkAblationCRPD(b *testing.B) {
 	ts := benchTaskSet(b)
 	for _, ap := range []crpd.Approach{crpd.ECBUnion, crpd.UCBOnly, crpd.ECBOnly, crpd.UCBUnion, crpd.Combined} {
 		b.Run(ap.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true, CRPD: ap}, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchOp(b, func() error {
+				_, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true, CRPD: ap}, core.Options{})
+				return err
+			})
 		})
 	}
 }
@@ -150,11 +161,10 @@ func BenchmarkAblationCPRO(b *testing.B) {
 	ts := benchTaskSet(b)
 	for _, ap := range []persistence.CPROApproach{persistence.Union, persistence.MultisetUnion, persistence.FullReload, persistence.None} {
 		b.Run(ap.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true, CPRO: ap}, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchOp(b, func() error {
+				_, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true, CPRO: ap}, core.Options{})
+				return err
+			})
 		})
 	}
 }
@@ -170,11 +180,10 @@ func BenchmarkAblationArbiter(b *testing.B) {
 				name += "-CP"
 			}
 			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Analyze(ts, core.Config{Arbiter: arb, Persistence: p}, core.Options{}); err != nil {
-						b.Fatal(err)
-					}
-				}
+				benchOp(b, func() error {
+					_, err := core.Analyze(ts, core.Config{Arbiter: arb, Persistence: p}, core.Options{})
+					return err
+				})
 			})
 		}
 	}
@@ -190,19 +199,19 @@ func BenchmarkRegulatedSweep(b *testing.B) {
 	ts := benchTaskSet(b)
 	budgets := []int64{1, 2, 4, 8}
 	periods := []buscon.Time{50, 100, 200}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	benchOp(b, func() error {
 		for _, q := range budgets {
 			for _, p := range periods {
 				plat := ts.Platform
 				plat.RegBudget, plat.RegPeriod = q, p
 				point := buscon.NewTaskSet(plat, ts.Tasks)
 				if _, err := core.Analyze(point, core.Config{Arbiter: core.Regulated, Persistence: true}, core.Options{}); err != nil {
-					b.Fatal(err)
+					return err
 				}
 			}
 		}
-	}
+		return nil
+	})
 }
 
 // BenchmarkSimulator measures the cycle-accurate simulator on a small
@@ -244,12 +253,10 @@ func BenchmarkSimulator(b *testing.B) {
 		bindings = append(bindings, sim.TaskBinding{Task: task, Prog: bench})
 	}
 	horizon := sim.HorizonForJobs(bindings, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(cfg.Platform, bindings, sim.Config{Policy: core.RR, Horizon: horizon}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, func() error {
+		_, err := sim.Run(cfg.Platform, bindings, sim.Config{Policy: core.RR, Horizon: horizon})
+		return err
+	})
 }
 
 // benchByName fetches a benchmark program for the simulator bench.
@@ -265,43 +272,38 @@ func benchByName(name string) (*program.Program, error) {
 
 // BenchmarkExtAssoc runs the cache-organisation extension study.
 func BenchmarkExtAssoc(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtAssociativity(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, func() error {
+		_, err := experiments.ExtAssociativity()
+		return err
+	})
 }
 
 // BenchmarkExtCRPD runs the CRPD-approach ablation study.
 func BenchmarkExtCRPD(b *testing.B) {
 	opts := benchOpts()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtCRPD(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, func() error {
+		_, err := experiments.ExtCRPD(opts)
+		return err
+	})
 }
 
 // BenchmarkExtPartition runs the partitioning-heuristic study.
 func BenchmarkExtPartition(b *testing.B) {
 	opts := benchOpts()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtPartition(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, func() error {
+		_, err := experiments.ExtPartition(opts)
+		return err
+	})
 }
 
 // BenchmarkOPA measures Audsley's assignment search on a 16-task set.
 func BenchmarkOPA(b *testing.B) {
 	ts := benchTaskSet(b)
 	cfg := core.Config{Arbiter: core.RR, Persistence: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opa.Assign(ts, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, func() error {
+		_, err := opa.Assign(ts, cfg)
+		return err
+	})
 }
 
 // BenchmarkSensitivity measures the d_mem edge search.
@@ -319,10 +321,8 @@ func BenchmarkSensitivity(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := core.Config{Arbiter: core.RR, Persistence: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.MaxDMem(ts, cfg, 1<<14, core.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOp(b, func() error {
+		_, err := core.MaxDMem(ts, cfg, 1<<14, core.Options{})
+		return err
+	})
 }

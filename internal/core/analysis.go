@@ -398,25 +398,21 @@ func (a *Analyzer) responseTime(ii int, trace *[]TraceStep) (taskmodel.Time, boo
 // min(MD, MD^r + CPRO), where CPRO covers the persistent blocks its
 // same-core neighbours can evict between jobs.
 func (a *Analyzer) perfectBusUtil() float64 {
-	var low *row
 	lowIdx := len(a.tab.tasks) - 1
-	if a.Cfg.Persistence {
-		// hep(lowest priority) spans every task, so the lowest row's
-		// union overlaps are exactly the steady-state CPRO terms.
-		low = a.tab.row(lowIdx)
-		if a.tab.memo != nil {
-			// Serve the per-core CPRO columns from the shared store; the
-			// lowest level's lp sets are empty, so withLow adds nothing.
-			for y := 0; y < a.TS.Platform.NumCores; y++ {
-				a.tab.memoFillPersist(lowIdx, low, y, true, a.obs)
-			}
+	if a.Cfg.Persistence && a.tab.memo != nil {
+		// hep(lowest priority) spans every task, so the lowest level's
+		// union overlaps are exactly the steady-state CPRO terms. Serve
+		// its per-core CPRO columns from the shared store; the lowest
+		// level's lp sets are empty, so withLow adds nothing.
+		for y := 0; y < a.TS.Platform.NumCores; y++ {
+			a.tab.memoFillPersist(lowIdx, y, true, a.obs)
 		}
 	}
 	u := 0.0
 	for jj, t := range a.tab.tasks {
 		demand := t.MD
 		if a.Cfg.Persistence {
-			if aware := t.MDr + a.tab.pairPersist(lowIdx, low, jj).unionOverlap; aware < demand {
+			if aware := t.MDr + a.tab.pairPersist(lowIdx, jj).unionOverlap; aware < demand {
 				demand = aware
 			}
 		}
@@ -608,17 +604,21 @@ func AnalyzeAll(ts *taskmodel.TaskSet, cfgs []Config) ([]*Result, error) {
 	return analyzeAllObs(ts, cfgs, nil, nil)
 }
 
-// analysisScratch pools the per-analysis mutable arrays — cursor
-// states, the dense response-time mirror and the per-level curve
-// bookkeeping — across analyzeAllObs calls (and, through them, across
-// AnalyzeBatchOpts jobs). Only the delta warm path profits: with the
-// backbones themselves memo-served, these arrays are the remaining
-// per-request allocations. Everything handed out is fully re-initialized
-// before use, so pooling cannot leak state between task sets.
+// analysisScratch pools the per-request mutable memory across
+// analyzeChecked calls (and, through them, across AnalyzeBatchOpts
+// jobs): cursor states, the dense response-time mirror, the per-level
+// curve bookkeeping and, for memo-less requests, the table arena that
+// pair columns, curve backbones and evictor lists are carved from. The
+// delta warm path reuses the first three; the cold path, which builds
+// every backbone itself, reuses all four, so a Fig. 2/3 sweep stops
+// reallocating its engine scratch for every task set. Everything handed
+// out is fully re-initialized before use, so pooling cannot leak state
+// between task sets, and nothing pooled is reachable from a Result.
 type analysisScratch struct {
 	fps    []fpState
 	rd     []taskmodel.Time
 	curves []levelCurves
+	arena  tableArena
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(analysisScratch) }}
@@ -641,18 +641,64 @@ func (sc *analysisScratch) takeFPS(n int) []fpState {
 // takeRD returns the n-entry response-time mirror; run() overwrites
 // every slot before reading it.
 func (sc *analysisScratch) takeRD(n int) []taskmodel.Time {
-	if cap(sc.rd) < n {
-		sc.rd = make([]taskmodel.Time, n)
+	return fit(&sc.rd, n)
+}
+
+// takeArena sizes the pooled arena for tb's request and returns a
+// fresh view of it. The sizes are bounds for one analyzeChecked request,
+// computed from its shape: every level's pair column; per level, one
+// same-core backbone over hp(i) and one remote backbone per core
+// (persistence-aware configurations run first, so no backbone is
+// rebuilt at a deeper level). Evictor lists exist
+// only when persist is set — some configuration of the request is
+// persistence-aware — and are bounded per (level, task) pair by
+// |hep(i)∩Γcore(j) \ {j}|. That bound grows as n³/m on few cores with
+// many tasks, so the slab is capped at evictorsPerPair·n² and keeps the
+// arena quadratic like the pair block. A request that outgrows a bound
+// stays correct: carve falls back to make.
+func (sc *analysisScratch) takeArena(tb *Tables, persist bool) tableArena {
+	n := len(tb.tasks)
+	var terms, evictors int
+	for ii, t := range tb.tasks {
+		terms += tb.hepCount(ii, t.Core) - 1 + n
+		if !persist {
+			continue
+		}
+		for y, refs := range tb.byCore {
+			// Σ_{j∈Γ_y} (|hep∩Γ_y| − [j ∈ hep]) = |hep∩Γ_y|·(|Γ_y| − 1).
+			evictors += tb.hepCount(ii, y) * (len(refs) - 1)
+		}
 	}
-	return sc.rd[:n]
+	return tableArena{
+		pairs:    fit(&sc.arena.pairs, n*n),
+		terms:    fit(&sc.arena.terms, terms),
+		evictors: fit(&sc.arena.evictors, min(evictors, evictorsPerPair*n*n)),
+	}
+}
+
+// evictorsPerPair caps the arena's evictor slab at this many entries
+// per (level, task) pair. The paper's task sets (eight tasks per core)
+// need at most about 3.2 — their bound is 3.5–3.7 — so a Fig. 2/3 sweep
+// carves every list; denser sets take the rest from the heap.
+const evictorsPerPair = 4
+
+// fit returns the first n elements of *buf, replacing it with an
+// n-element allocation when it is too small. Callers overwrite (or
+// carve re-zeroes) what they use.
+func fit[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
 }
 
 // takeCurves returns n cleared levelCurves entries for an m-core
 // platform. The per-core header and flag arrays are retained across
 // requests when their core count still matches (the common sweep case)
 // — only their contents are invalidated; the backbone views themselves
-// are dropped since they may alias store-shared slices. A core-count
-// mismatch falls back to a wholesale zero and levelCurves() reallocates.
+// are dropped since they may alias store-shared slices or the previous
+// request's arena. A core-count mismatch falls back to a wholesale zero
+// and levelCurves() reallocates.
 func (sc *analysisScratch) takeCurves(n, m int) []levelCurves {
 	if cap(sc.curves) < n {
 		sc.curves = make([]levelCurves, n)
@@ -720,10 +766,18 @@ func analyzeChecked(ts *taskmodel.TaskSet, cfgs []Config, obs *telemetry.Observe
 			tbl = PrecomputeTables(ts, cfg.CRPD)
 			tbl.setMemo(memo)
 			if first {
-				// The pooled curve array serves one Tables only — the
-				// backbones differ across CRPD approaches. Additional
-				// tables (rare in one request) allocate their own lazily.
+				// The pooled curve array and arena serve one Tables only —
+				// the pair columns and backbones differ across CRPD
+				// approaches. Additional tables (rare in one request)
+				// allocate their own lazily. With a memo attached,
+				// backbones and evictor lists are published to the store
+				// and outlive the request, so they stay on the heap.
+				// Persistence-aware configurations run first, so this
+				// one's flag says whether any needs evictor lists.
 				tbl.curves = scratch.takeCurves(n, ts.Platform.NumCores)
+				if memo == nil {
+					tbl.ar = scratch.takeArena(tbl, cfg.Persistence)
+				}
 				first = false
 			}
 			tables[cfg.CRPD] = tbl

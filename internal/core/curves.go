@@ -126,20 +126,19 @@ func (tb *Tables) buildSameBackbone(ii int, persist bool, obs *telemetry.Observe
 			defer obs.Span("curves level "+strconv.Itoa(ii)+" same", "curves").End()
 		}
 	}
-	r := tb.row(ii)
-	tb.ensurePairs(ii, r)
 	core := tb.tasks[ii].Core
 	if tb.memo != nil {
-		tb.memoFillGamma(ii, r, core, obs)
+		tb.memoFillGamma(ii, core, obs)
 		if persist {
-			tb.memoFillPersist(ii, r, core, false, obs)
+			tb.memoFillPersist(ii, core, false, obs)
 		}
 	}
-	terms := make([]termCurve, len(r.hp))
-	for k, ref := range r.hp {
-		p := tb.pair(ii, r, ref.idx)
+	hp := tb.hp(ii)
+	terms := carve(&tb.ar.terms, len(hp))
+	for k, ref := range hp {
+		p := tb.pair(ii, ref.idx)
 		if persist {
-			p = tb.pairPersist(ii, r, ref.idx)
+			p = tb.pairPersist(ii, ref.idx)
 		}
 		tc := &terms[k]
 		tc.period, tc.pd = ref.t.Period, ref.t.PD
@@ -165,36 +164,30 @@ func (tb *Tables) buildRemoteBackbone(ii, y int, persist bool, obs *telemetry.Ob
 			defer obs.Span("curves level "+strconv.Itoa(ii)+" core "+strconv.Itoa(y), "curves").End()
 		}
 	}
-	r := tb.row(ii)
-	tb.ensurePairs(ii, r)
 	if tb.memo != nil {
-		tb.memoFillGamma(ii, r, y, obs)
+		tb.memoFillGamma(ii, y, obs)
 		if persist {
-			tb.memoFillPersist(ii, r, y, true, obs)
+			tb.memoFillPersist(ii, y, true, obs)
 		}
 	}
-	terms := make([]termCurve, 0, len(tb.byCore[y]))
-	fill := func(refs []taskRef) {
-		for _, ref := range refs {
-			p := tb.pair(ii, r, ref.idx)
-			if persist {
-				p = tb.pairPersist(ii, r, ref.idx)
-			}
-			tc := termCurve{
-				period: ref.t.Period,
-				md:     ref.t.MD, mdr: ref.t.MDr,
-				gamma: p.gamma,
-			}
-			if persist {
-				tc.pcb = tb.pcb[ref.idx]
-				tc.unionOverlap = p.unionOverlap
-				tc.evictors = p.evictors
-			}
-			terms = append(terms, tc)
+	// hep(ii)∩Γ_y followed by lp(ii)∩Γ_y is byCore[y] itself.
+	refs := tb.byCore[y]
+	terms := carve(&tb.ar.terms, len(refs))
+	for k, ref := range refs {
+		p := tb.pair(ii, ref.idx)
+		if persist {
+			p = tb.pairPersist(ii, ref.idx)
+		}
+		tc := &terms[k]
+		tc.period = ref.t.Period
+		tc.md, tc.mdr = ref.t.MD, ref.t.MDr
+		tc.gamma = p.gamma
+		if persist {
+			tc.pcb = tb.pcb[ref.idx]
+			tc.unionOverlap = p.unionOverlap
+			tc.evictors = p.evictors
 		}
 	}
-	fill(r.hep[y])
-	fill(r.lp[y])
 	return terms
 }
 

@@ -138,7 +138,7 @@ func Explain(ts *taskmodel.TaskSet, cfg Config, prio int) (*Explanation, error) 
 		BAT:            bt.bat,
 		BusTime:        taskmodel.Time(bt.bat) * ts.Platform.DMem,
 	}
-	hp := a.tab.row(ii).hp
+	hp := a.tab.hp(ii)
 	for k := range s.same {
 		cur := &s.same[k]
 		tc := cur.tc

@@ -616,13 +616,13 @@ func (tb *Tables) curveKey(y, k, flavor int) memoKey {
 // key. Positions already built (by the per-pair path) are left
 // untouched; the memoized values are bit-identical by construction —
 // both paths run the same computeGamma.
-func (tb *Tables) memoFillGamma(ii int, r *row, y int, obs *telemetry.Observer) {
-	prefix := r.hep[y]
+func (tb *Tables) memoFillGamma(ii, y int, obs *telemetry.Observer) {
+	prefix := tb.hep(ii, y)
 	k := len(prefix)
 	if k == 0 {
 		return
 	}
-	tb.ensurePairs(ii, r)
+	pairs := tb.pairCol(ii)
 	key := tb.colKey(y, k, tb.gammaFlavor(ii, y))
 	col := tb.memo.getOrComputeColumn(key, obs, func() *memoColumn {
 		c := &memoColumn{gamma: make([]int64, k)}
@@ -632,7 +632,7 @@ func (tb *Tables) memoFillGamma(ii int, r *row, y int, obs *telemetry.Observer) 
 		return c
 	})
 	for pos, ref := range prefix {
-		p := &r.pair[ref.idx]
+		p := &pairs[ref.idx]
 		if !p.gammaBuilt {
 			p.gamma = col.gamma[pos]
 			p.gammaBuilt = true
@@ -643,9 +643,9 @@ func (tb *Tables) memoFillGamma(ii int, r *row, y int, obs *telemetry.Observer) 
 // memoFillPersist populates the CPRO entries of level ii's pair column
 // on core y — the hep prefix from the shared per-prefix column, the
 // lower-priority tasks (withLow) from chained single-task entries.
-func (tb *Tables) memoFillPersist(ii int, r *row, y int, withLow bool, obs *telemetry.Observer) {
-	tb.ensurePairs(ii, r)
-	prefix := r.hep[y]
+func (tb *Tables) memoFillPersist(ii, y int, withLow bool, obs *telemetry.Observer) {
+	pairs := tb.pairCol(ii)
+	prefix := tb.hep(ii, y)
 	k := len(prefix)
 	if k > 0 {
 		key := tb.colKey(y, k, colPersist)
@@ -660,7 +660,7 @@ func (tb *Tables) memoFillPersist(ii int, r *row, y int, withLow bool, obs *tele
 			return c
 		})
 		for pos, ref := range prefix {
-			p := &r.pair[ref.idx]
+			p := &pairs[ref.idx]
 			if !p.persistBuilt {
 				p.unionOverlap = col.unionOverlap[pos]
 				p.evictors = col.evictors[pos]
@@ -671,8 +671,8 @@ func (tb *Tables) memoFillPersist(ii int, r *row, y int, withLow bool, obs *tele
 	if !withLow {
 		return
 	}
-	for _, ref := range r.lp[y] {
-		p := &r.pair[ref.idx]
+	for _, ref := range tb.lp(ii, y) {
+		p := &pairs[ref.idx]
 		if p.persistBuilt {
 			continue
 		}

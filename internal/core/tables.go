@@ -20,9 +20,11 @@ import (
 // |PCB_j ∩ ECB_s| counts of the multiset bound; the naive analyzer
 // rebuilt all of them for every task pair in every inner iteration.
 //
-// Everything is filled lazily — rows (the per-level task slices) on
-// first use of an analysis level, pair entries (the set-derived
-// numbers) on first use of a (level, task) pair. Laziness matters
+// Everything is filled lazily — pair columns (the set-derived
+// numbers) on first use of a level, pair entries on first use of a
+// (level, task) pair. The per-level task lists need no build at all:
+// hep(i)∩Γ_y and lp(i)∩Γ_y are the prefix and suffix of the
+// priority-ascending byCore[y] at the level's cutoff. Laziness matters
 // twice: the OPA search (internal/opa) probes one level per analyzer,
 // and the cheaper arbiters touch only a fraction of the pairs (TDMA
 // reads same-core pairs only; RR reads remote pairs at a single level),
@@ -31,6 +33,16 @@ import (
 // Tables are NOT safe for concurrent use: lazy filling mutates shared
 // state. Analyzers sharing one Tables (AnalyzeAll) must run
 // sequentially; AnalyzeBatchOpts gives each worker its own Tables.
+//
+// Ownership: pair columns, curve backbones and evictor lists all come
+// from one allocator, carve, which cuts them from the Tables' arena
+// (tableArena) or calls make. Only the first Tables of a memo-less
+// analyzeChecked request has an arena — pooled memory that the next
+// request overwrites — so nothing carved from it may outlive the
+// request: not into a MemoStore (memo-attached Tables never get an
+// arena, their backbones and columns are shared across requests), not
+// into a Result, not into an Explanation (Explain, MaxDMem and
+// NewAnalyzer build their own arena-less Tables).
 
 // taskRef pairs a task with its dense index into Tables.tasks so hot
 // loops can reach per-task caches without map lookups.
@@ -55,25 +67,6 @@ type pairTab struct {
 	persistBuilt bool
 }
 
-// row holds the task slices the level-i equations iterate over.
-type row struct {
-	// hp lists the same-core higher-priority tasks (BAS, Eq. 1, and the
-	// processor-interference sum of Eq. 19).
-	hp []taskRef
-	// hep[y] lists hep(i) ∩ Γ_y per core (BAO, Eq. 3).
-	hep [][]taskRef
-	// lp[y] lists lp(i) ∩ Γ_y per core (BAO_low, Eq. 7).
-	lp [][]taskRef
-	// hasLP reports a lower-priority task on i's own core (the +1 term).
-	hasLP bool
-	// pair is indexed by task index, attached on first pair touch
-	// (ensurePairs) and filled lazily per entry.
-	pair []pairTab
-	// built marks the row's task slices as constructed; the pair column
-	// attaches separately so memo-served analyses never need it.
-	built bool
-}
-
 // Tables caches the loop-invariant interference quantities of one task
 // set under one CRPD approach. CPRO approach and persistence on/off are
 // call-time choices — the cached data covers all of them — so one
@@ -92,13 +85,9 @@ type Tables struct {
 	// Γ_x iteration sets of the γ fast path.
 	byCore [][]taskRef
 
-	// rows is indexed by level. Value slices (one allocation for all
-	// levels) keep the table build off the allocator's hot path.
-	rows []row
-	// pairBlock is the n×n backing of the rows' pair slices, allocated
-	// once on the first pair touch anywhere — an analysis whose curves
-	// are all served from the shared store never pays for it.
-	pairBlock []pairTab
+	// pairs[ii] is level ii's pair column, indexed by task index,
+	// attached on first pair touch (pairCol) and filled lazily per entry.
+	pairs [][]pairTab
 	// coreOff are the prefix sums of the byCore sizes: core y's tasks
 	// occupy [coreOff[y], coreOff[y+1]) slots of any per-task flat
 	// backing laid out core-by-core.
@@ -108,13 +97,13 @@ type Tables struct {
 	// column serves all levels' remote cursors (only the split differs).
 	coreIdx [][]int32
 	// hepCnt[ii*m+y] is |hep(ii) ∩ Γ_y| — the priority cutoff splitting
-	// byCore[y] into the level's hep prefix and lp tail. It answers the
-	// shape questions of the warm path (curve-key cutoffs, hasLP) without
-	// materializing the row's task slices.
+	// byCore[y] into the level's hep prefix and lp tail. It backs the
+	// hep/lp/hp views and the shape questions of the warm path
+	// (curve-key cutoffs, hasLP).
 	hepCnt []int32
 	// curves holds the per-level breakpoint-curve materializations of
 	// the event-driven fixed point (curves.go), filled lazily like the
-	// rows and shared across configurations.
+	// pair columns and shared across configurations.
 	curves []levelCurves
 	// hepECB[j] is ∪_{h ∈ Γcore(j) ∩ hep(j)} ECB_h, the evicting union
 	// of Eq. (2); hepECBDone flags cores whose column is built. The
@@ -122,9 +111,13 @@ type Tables struct {
 	// column costs |Γ_x| set unions instead of O(|Γ_x|²) rebuilds.
 	hepECB     []cacheset.Set
 	hepECBDone []bool
-	// scratch collects evictor ECBs during pair fills without
-	// reallocating.
+	// scratch collects evictor ECBs and evBuf the positive evictor
+	// terms during pair fills without reallocating.
 	scratch []cacheset.Set
+	evBuf   []persistence.EvictorTerm
+	// ar is the arena carve cuts from; zero (every slab empty) unless
+	// analyzeChecked handed this Tables the request's pooled scratch.
+	ar tableArena
 
 	// memo, when non-nil, is the shared content-addressed store
 	// (memo.go): curve materializations fetch whole backbones from it
@@ -146,39 +139,43 @@ type Tables struct {
 // task set under the given CRPD approach. The task set must already be
 // validated and must not be mutated while the tables are in use.
 func PrecomputeTables(ts *taskmodel.TaskSet, ap crpd.Approach) *Tables {
+	n, m := len(ts.Tasks), ts.Platform.NumCores
 	tb := &Tables{
 		ts:         ts,
 		crpd:       ap,
 		tasks:      ts.Tasks,
-		prioIdx:    make(map[int]int, len(ts.Tasks)),
-		pcb:        make([]int64, len(ts.Tasks)),
-		byCore:     make([][]taskRef, ts.Platform.NumCores),
-		rows:       make([]row, len(ts.Tasks)),
-		hepECB:     make([]cacheset.Set, len(ts.Tasks)),
-		hepECBDone: make([]bool, ts.Platform.NumCores),
+		prioIdx:    make(map[int]int, n),
+		pcb:        make([]int64, n),
+		byCore:     make([][]taskRef, m),
+		coreOff:    make([]int, m+1),
+		coreIdx:    make([][]int32, m),
+		pairs:      make([][]pairTab, n),
+		hepECB:     make([]cacheset.Set, n),
+		hepECBDone: make([]bool, m),
+	}
+	for _, t := range ts.Tasks {
+		tb.coreOff[t.Core+1]++
+	}
+	for y := 0; y < m; y++ {
+		tb.coreOff[y+1] += tb.coreOff[y]
+	}
+	// One backing each for byCore and coreIdx, core y's tasks at
+	// [coreOff[y], coreOff[y+1]).
+	refBacking := make([]taskRef, n)
+	idxBacking := make([]int32, n)
+	for y := range tb.byCore {
+		tb.byCore[y] = refBacking[tb.coreOff[y]:tb.coreOff[y]:tb.coreOff[y+1]]
+		tb.coreIdx[y] = idxBacking[tb.coreOff[y]:tb.coreOff[y+1]]
 	}
 	for i, t := range ts.Tasks {
 		tb.prioIdx[t.Priority] = i
 		tb.pcb[i] = int64(t.PCB.Count())
+		tb.coreIdx[t.Core][len(tb.byCore[t.Core])] = int32(i)
 		tb.byCore[t.Core] = append(tb.byCore[t.Core], taskRef{t: t, idx: i})
-	}
-	tb.coreOff = make([]int, ts.Platform.NumCores+1)
-	for y, refs := range tb.byCore {
-		tb.coreOff[y+1] = tb.coreOff[y] + len(refs)
-	}
-	tb.coreIdx = make([][]int32, ts.Platform.NumCores)
-	idxBacking := make([]int32, len(ts.Tasks))
-	for y, refs := range tb.byCore {
-		part := idxBacking[tb.coreOff[y]:tb.coreOff[y+1]]
-		for i, ref := range refs {
-			part[i] = int32(ref.idx)
-		}
-		tb.coreIdx[y] = part
 	}
 	// Levels (tb.tasks) and byCore are both priority-ascending, so each
 	// per-core cutoff column is a single merge walk.
-	m := ts.Platform.NumCores
-	tb.hepCnt = make([]int32, len(ts.Tasks)*m)
+	tb.hepCnt = make([]int32, n*m)
 	for y, refs := range tb.byCore {
 		p := 0
 		for ii, t := range tb.tasks {
@@ -191,13 +188,13 @@ func PrecomputeTables(ts *taskmodel.TaskSet, ap crpd.Approach) *Tables {
 	return tb
 }
 
-// hepCount returns |hep(ii) ∩ Γ_y| without building the level's row.
+// hepCount returns |hep(ii) ∩ Γ_y|.
 func (tb *Tables) hepCount(ii, y int) int {
 	return int(tb.hepCnt[ii*tb.ts.Platform.NumCores+y])
 }
 
 // hasLP reports a lower-priority task on level ii's own core (the +1
-// blocking term) without building the row.
+// blocking term).
 func (tb *Tables) hasLP(ii int) bool {
 	y := tb.tasks[ii].Core
 	return tb.hepCount(ii, y) < len(tb.byCore[y])
@@ -218,86 +215,47 @@ func (tb *Tables) hepEcb(jj int) cacheset.Set {
 	return tb.hepECB[jj]
 }
 
-// row returns level ii's task slices, built on first access. The build
-// involves no cache-set work.
-func (tb *Tables) row(ii int) *row {
-	r := &tb.rows[ii]
-	if r.built {
-		return r
-	}
-	ti := tb.tasks[ii]
-	m := tb.ts.Platform.NumCores
-	n := len(tb.tasks)
-	r.built = true
-	r.hp = make([]taskRef, 0, len(tb.byCore[ti.Core]))
-	// hep[y] ∪ lp[y] partition Γ_y; byCore is priority-ascending, so
-	// the boundary index gives both slices exact, growth-free capacity
-	// out of a single backing array shared by all cores (laid out at
-	// the coreOff offsets).
-	hdr := make([][]taskRef, 2*m)
-	r.hep, r.lp = hdr[:m:m], hdr[m:]
-	backing := make([]taskRef, n)
-	for y := 0; y < m; y++ {
-		split := 0
-		for _, ref := range tb.byCore[y] {
-			if ref.t.Priority > ti.Priority {
-				break
-			}
-			split++
-		}
-		part := backing[tb.coreOff[y]:tb.coreOff[y+1]]
-		r.hep[y] = part[:0:split]
-		r.lp[y] = part[split:split]
-	}
-	for jj, tj := range tb.tasks {
-		ref := taskRef{t: tj, idx: jj}
-		switch {
-		case tj.Priority < ti.Priority:
-			if tj.Core == ti.Core {
-				r.hp = append(r.hp, ref)
-			}
-			r.hep[tj.Core] = append(r.hep[tj.Core], ref)
-		case tj.Priority == ti.Priority:
-			r.hep[tj.Core] = append(r.hep[tj.Core], ref)
-		default:
-			r.lp[tj.Core] = append(r.lp[tj.Core], ref)
-			if tj.Core == ti.Core {
-				r.hasLP = true
-			}
-		}
-	}
-	return r
+// hep returns hep(ii) ∩ Γ_y in priority order: byCore[y] is
+// priority-ascending, so it is the prefix below the level's cutoff —
+// the BAO (Eq. 3) iteration set and the CPRO evictor candidates.
+func (tb *Tables) hep(ii, y int) []taskRef {
+	k := tb.hepCount(ii, y)
+	return tb.byCore[y][:k:k]
 }
 
-// ensurePairs attaches level ii's pair column. Without a memo store
-// the n×n backing is allocated once and shared by all rows — every
-// level will need its column. With a store attached most columns are
-// never touched (backbones arrive memo-served), so each row gets its
-// own n-sized column on demand and the quadratic block is never paid.
-func (tb *Tables) ensurePairs(ii int, r *row) {
-	if r.pair != nil {
-		return
+// lp returns lp(ii) ∩ Γ_y, the suffix of byCore[y] past the level's
+// cutoff (BAO_low, Eq. 7).
+func (tb *Tables) lp(ii, y int) []taskRef {
+	return tb.byCore[y][tb.hepCount(ii, y):]
+}
+
+// hp returns the same-core higher-priority tasks of level ii (BAS,
+// Eq. 1, and the processor-interference sum of Eq. 19): its own hep
+// prefix without the level's task, which priorities being unique puts
+// last.
+func (tb *Tables) hp(ii int) []taskRef {
+	hep := tb.hep(ii, tb.tasks[ii].Core)
+	k := len(hep) - 1
+	return hep[:k:k]
+}
+
+// pairCol returns level ii's pair column, attached on first touch — an
+// analysis whose curves are all served from the shared store never
+// pays for it. Carved from the request arena when there is one (sized
+// for every level's column), allocated otherwise.
+func (tb *Tables) pairCol(ii int) []pairTab {
+	if tb.pairs[ii] == nil {
+		tb.pairs[ii] = carve(&tb.ar.pairs, len(tb.tasks))
 	}
-	n := len(tb.tasks)
-	if tb.memo != nil {
-		r.pair = make([]pairTab, n)
-		return
-	}
-	if tb.pairBlock == nil {
-		tb.pairBlock = make([]pairTab, n*n)
-	}
-	r.pair = tb.pairBlock[ii*n : (ii+1)*n : (ii+1)*n]
+	return tb.pairs[ii]
 }
 
 // pair returns the (level ii, task jj) entry with the γ column filled.
 // The default ECB-union approach is computed in place from the cached
 // evicting union and the core's priority-ordered task list — Eq. (2)
 // with zero allocations; other approaches go through crpd.Gamma.
-func (tb *Tables) pair(ii int, r *row, jj int) *pairTab {
-	if r.pair == nil {
-		tb.ensurePairs(ii, r)
-	}
-	p := &r.pair[jj]
+func (tb *Tables) pair(ii, jj int) *pairTab {
+	p := &tb.pairCol(ii)[jj]
 	if !p.gammaBuilt {
 		p.gamma = tb.computeGamma(ii, jj)
 		p.gammaBuilt = true
@@ -334,24 +292,24 @@ func (tb *Tables) computeGamma(ii, jj int) int64 {
 }
 
 // pairPersist additionally fills the CPRO overlap columns. The evictor
-// set hep(i) ∩ Γcore(j) \ {j} is read off the row's hep slice, so the
-// fill performs exactly the |hep| intersections the bound needs and
+// set hep(i) ∩ Γcore(j) \ {j} is read off the level's hep prefix, so
+// the fill performs exactly the |hep| intersections the bound needs and
 // nothing else.
-func (tb *Tables) pairPersist(ii int, r *row, jj int) *pairTab {
-	p := tb.pair(ii, r, jj)
+func (tb *Tables) pairPersist(ii, jj int) *pairTab {
+	p := tb.pair(ii, jj)
 	if p.persistBuilt {
 		return p
 	}
-	p.unionOverlap, p.evictors = tb.computePersist(r.hep[tb.tasks[jj].Core], jj)
+	p.unionOverlap, p.evictors = tb.computePersist(tb.hep(ii, tb.tasks[jj].Core), jj)
 	p.persistBuilt = true
 	return p
 }
 
 // computePersist evaluates task jj's CPRO terms against the evictor
 // prefix hep — the shared body of the per-pair fill and the memoized
-// column builds. The evictor slice is only allocated when the union
-// overlap is positive, exactly as the original per-pair fill did, so
-// memoized and direct entries are bit-identical.
+// column builds, so memoized and direct entries are bit-identical. The
+// evictor list exists only when the union overlap is positive, and is
+// carved at exactly its length.
 func (tb *Tables) computePersist(hep []taskRef, jj int) (int64, []persistence.EvictorTerm) {
 	tj := tb.tasks[jj]
 	tb.scratch = tb.scratch[:0]
@@ -362,18 +320,20 @@ func (tb *Tables) computePersist(hep []taskRef, jj int) (int64, []persistence.Ev
 		tb.scratch = append(tb.scratch, s.t.ECB)
 	}
 	unionOverlap := int64(tj.PCB.IntersectCountUnion(tb.scratch...))
-	var evictors []persistence.EvictorTerm
-	if unionOverlap > 0 {
-		evictors = make([]persistence.EvictorTerm, 0, len(tb.scratch))
-		for _, s := range hep {
-			if s.idx == jj {
-				continue
-			}
-			if ov := int64(tj.PCB.IntersectCount(s.t.ECB)); ov > 0 {
-				evictors = append(evictors, persistence.EvictorTerm{Period: s.t.Period, Overlap: ov})
-			}
+	if unionOverlap == 0 {
+		return 0, nil
+	}
+	tb.evBuf = tb.evBuf[:0]
+	for _, s := range hep {
+		if s.idx == jj {
+			continue
+		}
+		if ov := int64(tj.PCB.IntersectCount(s.t.ECB)); ov > 0 {
+			tb.evBuf = append(tb.evBuf, persistence.EvictorTerm{Period: s.t.Period, Overlap: ov})
 		}
 	}
+	evictors := carve(&tb.ar.evictors, len(tb.evBuf))
+	copy(evictors, tb.evBuf)
 	return unionOverlap, evictors
 }
 
@@ -400,4 +360,30 @@ func (tb *Tables) compatible(ts *taskmodel.TaskSet) error {
 		}
 	}
 	return nil
+}
+
+// tableArena is the request-scoped backing store of a memo-less
+// Tables: each slab is the unused remainder of a pooled buffer
+// (analysisScratch.arena sizes them for the request), carved front to
+// back. The zero arena — every Tables PrecomputeTables returns, and
+// every memo-attached one — has empty slabs, so carve falls through to
+// make and the memory is ordinary heap.
+type tableArena struct {
+	pairs    []pairTab
+	terms    []termCurve
+	evictors []persistence.EvictorTerm
+}
+
+// carve is the Tables' one allocator for pair columns, curve backbones
+// and evictor lists: n zeroed elements cut from the front of *slab, or
+// a fresh make when the slab cannot hold them.
+func carve[T any](slab *[]T, n int) []T {
+	s := *slab
+	if len(s) < n {
+		return make([]T, n)
+	}
+	*slab = s[n:]
+	s = s[:n:n]
+	clear(s)
+	return s
 }

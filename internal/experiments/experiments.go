@@ -368,6 +368,10 @@ func sweep(opts Options, numPoints int,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// One generator per worker, re-seeded per job: the same
+			// stream as a fresh rand.New(rand.NewSource(seed)) without
+			// allocating a new ~5 KB source for every set.
+			rng := rand.New(rand.NewSource(0))
 			for ji := range work {
 				j := jobs[ji]
 				cfg := cfgs[j.pointIdx]
@@ -386,7 +390,8 @@ func sweep(opts Options, numPoints int,
 							fail(ji, fmt.Errorf("generation panic: %v", r), debug.Stack())
 						}
 					}()
-					ts, err := taskgen.Generate(cfg, pools[j.pointIdx], rand.New(rand.NewSource(seed)))
+					rng.Seed(seed)
+					ts, err := taskgen.Generate(cfg, pools[j.pointIdx], rng)
 					if err == nil && prepare != nil {
 						gen := ts
 						if ts, err = prepare(j.pointIdx, gen); err == nil && ts == nil {
