@@ -202,7 +202,7 @@ type Analyzer struct {
 	// R holds the current response-time estimate per priority value.
 	R map[int]taskmodel.Time
 
-	tab *Tables
+	tab *tables
 	// fps holds each level's persistent cursor state of the
 	// event-driven fixed point (curves.go); fp points at the state of
 	// the level currently under analysis. Reuse across ResponseTime
@@ -229,16 +229,16 @@ func NewAnalyzer(ts *taskmodel.TaskSet, cfg Config) (*Analyzer, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
-	return NewAnalyzerWithTables(ts, cfg, PrecomputeTables(ts, cfg.CRPD))
+	return newAnalyzerWithTables(ts, cfg, precomputeTables(ts, cfg.CRPD))
 }
 
-// NewAnalyzerWithTables is NewAnalyzer reusing previously computed
+// newAnalyzerWithTables is NewAnalyzer reusing previously computed
 // interference tables, so repeated analyses of the same task set — or
 // of clones differing only in d_mem, which none of the cached terms
 // depend on — skip the cache-set work entirely. The tables' CRPD
 // approach must match cfg and the task set must be compatible with the
 // one the tables were built for.
-func NewAnalyzerWithTables(ts *taskmodel.TaskSet, cfg Config, tbl *Tables) (*Analyzer, error) {
+func newAnalyzerWithTables(ts *taskmodel.TaskSet, cfg Config, tbl *tables) (*Analyzer, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
@@ -257,7 +257,7 @@ func NewAnalyzerWithTables(ts *taskmodel.TaskSet, cfg Config, tbl *Tables) (*Ana
 // newAnalyzerChecked skips the validation and compatibility checks for
 // callers that already performed them (AnalyzeAll runs one validation
 // for the whole config list and builds the tables from ts itself).
-func newAnalyzerChecked(ts *taskmodel.TaskSet, cfg Config, tbl *Tables) *Analyzer {
+func newAnalyzerChecked(ts *taskmodel.TaskSet, cfg Config, tbl *tables) *Analyzer {
 	if cfg.MaxOuterIterations == 0 {
 		cfg.MaxOuterIterations = 64
 	}
@@ -398,21 +398,16 @@ func (a *Analyzer) responseTime(ii int, trace *[]TraceStep) (taskmodel.Time, boo
 // min(MD, MD^r + CPRO), where CPRO covers the persistent blocks its
 // same-core neighbours can evict between jobs.
 func (a *Analyzer) perfectBusUtil() float64 {
-	lowIdx := len(a.tab.tasks) - 1
-	if a.Cfg.Persistence && a.tab.memo != nil {
-		// hep(lowest priority) spans every task, so the lowest level's
-		// union overlaps are exactly the steady-state CPRO terms. Serve
-		// its per-core CPRO columns from the shared store; the lowest
-		// level's lp sets are empty, so withLow adds nothing.
-		for y := 0; y < a.TS.Platform.NumCores; y++ {
-			a.tab.memoFillPersist(lowIdx, y, true, a.obs)
-		}
-	}
 	u := 0.0
 	for jj, t := range a.tab.tasks {
 		demand := t.MD
 		if a.Cfg.Persistence {
-			if aware := t.MDr + a.tab.pairPersist(lowIdx, jj).unionOverlap; aware < demand {
+			// hep(lowest priority) spans every task, so the slot of each
+			// core's whole task list holds the steady-state CPRO terms;
+			// jj sits last in its own hep prefix.
+			y := t.Core
+			cpro := a.tab.cproCol(y, len(a.tab.byCore[y]), a.obs)
+			if aware := t.MDr + cpro[a.tab.hepCount(jj, y)-1].unionOverlap; aware < demand {
 				demand = aware
 			}
 		}
@@ -606,19 +601,19 @@ func AnalyzeAll(ts *taskmodel.TaskSet, cfgs []Config) ([]*Result, error) {
 
 // analysisScratch pools the per-request mutable memory across
 // analyzeChecked calls (and, through them, across AnalyzeBatchOpts
-// jobs): cursor states, the dense response-time mirror, the per-level
-// curve bookkeeping and, for memo-less requests, the table arena that
-// pair columns, curve backbones and evictor lists are carved from. The
+// jobs): cursor states, the dense response-time mirror, the tables'
+// slot array and, for memo-less requests, the table arena that
+// columns, curve backbones and evictor lists are carved from. The
 // delta warm path reuses the first three; the cold path, which builds
 // every backbone itself, reuses all four, so a Fig. 2/3 sweep stops
 // reallocating its engine scratch for every task set. Everything handed
 // out is fully re-initialized before use, so pooling cannot leak state
 // between task sets, and nothing pooled is reachable from a Result.
 type analysisScratch struct {
-	fps    []fpState
-	rd     []taskmodel.Time
-	curves []levelCurves
-	arena  tableArena
+	fps   []fpState
+	rd    []taskmodel.Time
+	slots []slot
+	arena tableArena
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(analysisScratch) }}
@@ -644,43 +639,39 @@ func (sc *analysisScratch) takeRD(n int) []taskmodel.Time {
 	return fit(&sc.rd, n)
 }
 
-// takeArena sizes the pooled arena for tb's request and returns a
-// fresh view of it. The sizes are bounds for one analyzeChecked request,
-// computed from its shape: every level's pair column; per level, one
-// same-core backbone over hp(i) and one remote backbone per core
-// (persistence-aware configurations run first, so no backbone is
-// rebuilt at a deeper level). Evictor lists exist
-// only when persist is set — some configuration of the request is
-// persistence-aware — and are bounded per (level, task) pair by
-// |hep(i)∩Γcore(j) \ {j}|. That bound grows as n³/m on few cores with
-// many tasks, so the slab is capped at evictorsPerPair·n² and keeps the
-// arena quadratic like the pair block. A request that outgrows a bound
-// stays correct: carve falls back to make.
-func (sc *analysisScratch) takeArena(tb *Tables, persist bool) tableArena {
-	n := len(tb.tasks)
-	var terms, evictors int
-	for ii, t := range tb.tasks {
-		terms += tb.hepCount(ii, t.Core) - 1 + n
-		if !persist {
-			continue
-		}
-		for y, refs := range tb.byCore {
-			// Σ_{j∈Γ_y} (|hep∩Γ_y| − [j ∈ hep]) = |hep∩Γ_y|·(|Γ_y| − 1).
-			evictors += tb.hepCount(ii, y) * (len(refs) - 1)
-		}
-	}
-	return tableArena{
-		pairs:    fit(&sc.arena.pairs, n*n),
-		terms:    fit(&sc.arena.terms, terms),
-		evictors: fit(&sc.arena.evictors, min(evictors, evictorsPerPair*n*n)),
-	}
+// takeSlots returns n empty slots. The previous request's columns and
+// backbones are dropped: they may alias store-shared slices or its
+// arena.
+func (sc *analysisScratch) takeSlots(n int) []slot {
+	s := fit(&sc.slots, n)
+	clear(s)
+	return s
 }
 
-// evictorsPerPair caps the arena's evictor slab at this many entries
-// per (level, task) pair. The paper's task sets (eight tasks per core)
-// need at most about 3.2 — their bound is 3.5–3.7 — so a Fig. 2/3 sweep
-// carves every list; denser sets take the rest from the heap.
-const evictorsPerPair = 4
+// takeArena sizes the pooled arena for tb's request from the slot
+// layout (layoutSize) and returns a fresh view of it. Persistence-aware
+// configurations run first, so no backbone is rebuilt at a deeper
+// level. CPRO columns and evictor lists get slabs only when persist is
+// set — some configuration of the request is persistence-aware. The
+// layout's evictor bound is cubic in |Γ_y|, so that slab is capped at
+// evictorsPerEntry per CPRO entry and the arena stays quadratic like
+// the columns. A request that outgrows a bound stays correct: carve
+// refills or makes the rest.
+func (sc *analysisScratch) takeArena(tb *tables, persist bool) tableArena {
+	l := tb.layout
+	ar := tableArena{gamma: fit(&sc.arena.gamma, l.gamma), terms: fit(&sc.arena.terms, l.terms)}
+	if persist {
+		ar.cpro = fit(&sc.arena.cpro, l.cpro)
+		ar.evictors = fit(&sc.arena.evictors, min(l.evictors, evictorsPerEntry*l.cpro))
+	}
+	return ar
+}
+
+// evictorsPerEntry caps the arena's evictor slab at this many entries
+// per CPRO column entry. The paper's task sets (eight tasks per core)
+// need at most (|Γ_y|−1)/2 = 3.5, so a Fig. 2/3 sweep carves every
+// list; denser sets take the rest from the heap.
+const evictorsPerEntry = 4
 
 // fit returns the first n elements of *buf, replacing it with an
 // n-element allocation when it is too small. Callers overwrite (or
@@ -690,35 +681,6 @@ func fit[T any](buf *[]T, n int) []T {
 		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
-}
-
-// takeCurves returns n cleared levelCurves entries for an m-core
-// platform. The per-core header and flag arrays are retained across
-// requests when their core count still matches (the common sweep case)
-// — only their contents are invalidated; the backbone views themselves
-// are dropped since they may alias store-shared slices or the previous
-// request's arena. A core-count mismatch falls back to a wholesale zero
-// and levelCurves() reallocates.
-func (sc *analysisScratch) takeCurves(n, m int) []levelCurves {
-	if cap(sc.curves) < n {
-		sc.curves = make([]levelCurves, n)
-	}
-	sc.curves = sc.curves[:cap(sc.curves)]
-	cur := sc.curves[:n]
-	for i := range cur {
-		lc := &cur[i]
-		if len(lc.remoteBuilt) != m {
-			*lc = levelCurves{}
-			continue
-		}
-		lc.same = nil
-		lc.sameBuilt, lc.samePersist = false, false
-		for y := 0; y < m; y++ {
-			lc.remote[y], lc.low[y] = nil, nil
-			lc.remoteBuilt[y], lc.remotePersist[y] = false, false
-		}
-	}
-	return cur
 }
 
 func analyzeAllObs(ts *taskmodel.TaskSet, cfgs []Config, obs *telemetry.Observer, memo *MemoStore) ([]*Result, error) {
@@ -739,13 +701,13 @@ func analyzeChecked(ts *taskmodel.TaskSet, cfgs []Config, obs *telemetry.Observe
 	n := len(ts.Tasks)
 	scratch := scratchPool.Get().(*analysisScratch)
 	defer scratchPool.Put(scratch)
-	tables := make(map[crpd.Approach]*Tables)
+	byCRPD := make(map[crpd.Approach]*tables)
 	out := make([]*Result, len(cfgs))
 	// Persistence-enabled configurations run first (results still land
 	// in cfgs order): the first touch of each curve then materializes
 	// its backbone at CPRO depth, a superset of γ depth, so the
 	// persistence-oblivious configurations that follow hit the
-	// intra-Tables warm path instead of paying a second store
+	// intra-tables warm path instead of paying a second store
 	// round-trip for the γ-depth backbone of the same prefix.
 	order := make([]int, 0, len(cfgs))
 	for i, cfg := range cfgs {
@@ -761,26 +723,26 @@ func analyzeChecked(ts *taskmodel.TaskSet, cfgs []Config, obs *telemetry.Observe
 	first := true
 	for _, i := range order {
 		cfg := cfgs[i]
-		tbl, ok := tables[cfg.CRPD]
+		tbl, ok := byCRPD[cfg.CRPD]
 		if !ok {
-			tbl = PrecomputeTables(ts, cfg.CRPD)
+			tbl = precomputeTables(ts, cfg.CRPD)
 			tbl.setMemo(memo)
 			if first {
-				// The pooled curve array and arena serve one Tables only —
-				// the pair columns and backbones differ across CRPD
-				// approaches. Additional tables (rare in one request)
-				// allocate their own lazily. With a memo attached,
-				// backbones and evictor lists are published to the store
-				// and outlive the request, so they stay on the heap.
-				// Persistence-aware configurations run first, so this
-				// one's flag says whether any needs evictor lists.
-				tbl.curves = scratch.takeCurves(n, ts.Platform.NumCores)
+				// The pooled slots and arena serve one tables only — the
+				// columns and backbones differ across CRPD approaches.
+				// Additional tables (rare in one request) allocate their
+				// own lazily. With a memo attached, backbones and evictor
+				// lists are published to the store and outlive the
+				// request, so they stay on the heap. Persistence-aware
+				// configurations run first, so this one's flag says
+				// whether any needs CPRO columns.
+				tbl.slots = scratch.takeSlots(n + ts.Platform.NumCores)
 				if memo == nil {
 					tbl.ar = scratch.takeArena(tbl, cfg.Persistence)
 				}
 				first = false
 			}
-			tables[cfg.CRPD] = tbl
+			byCRPD[cfg.CRPD] = tbl
 		}
 		// The set was validated above and the tables were built from it,
 		// so the per-analyzer checks are redundant. The configurations run

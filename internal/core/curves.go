@@ -23,9 +23,9 @@ import (
 // f(t) is constant.
 //
 // The engine represents each term as a breakpoint curve: the
-// loop-invariant constants (termCurve, materialized lazily per
-// (level, task, core) into the Tables and shared across every
-// configuration with the same CRPD approach) plus a moving cursor
+// loop-invariant constants (termCurve, one backbone per (core,
+// cutoff) slot of the tables, shared by every level with that cutoff
+// and every configuration with the same CRPD approach) plus a cursor
 // holding the term's current value and the smallest t at which that
 // value may change. Cursors only move forward — the fixed-point
 // iterate is monotone non-decreasing — so one pass over the
@@ -48,207 +48,144 @@ import (
 const maxTime = taskmodel.Time(math.MaxInt64)
 
 // termCurve is one interference curve's loop-invariant backbone entry:
-// the interfering task's scalar parameters and its pair-table values
-// at the curve's analysis level, copied by value. Everything the step
-// function needs except the current iterate t and (for remote terms)
-// the remote response-time estimate R_l, which the cursor captures at
-// reset — task identity (index, priority) lives on the cursor too, so
-// a backbone slice is a pure function of its content key and can be
-// shared copy-free across analyses through the MemoStore. Fields not
-// covered by the backbone's key are left zero: pd on remote backbones
-// (no remote term of Eq. (3)–(6) reads it) and the CPRO fields
-// (pcb/unionOverlap/evictors) on γ-depth backbones (read only with
-// persistence enabled, which requests CPRO depth). d_mem and the slot
-// size are read from the analyzer at evaluation time.
+// the interfering task's scalar parameters and its slot's column values,
+// copied by value. Everything the step function needs except the
+// current iterate t and (for remote terms) the remote response-time
+// estimate R_l, which the cursor captures at reset — task identity
+// (index, priority) lives on the cursor too, so a backbone slice is a
+// pure function of its content key and can be shared copy-free across
+// analyses through the MemoStore. Fields not covered by the backbone's
+// key are left zero: pd on remote backbones (no remote term of
+// Eq. (3)–(6) reads it) and the CPRO fields (pcb and the embedded
+// cproEntry) on γ-depth backbones (read only with persistence enabled,
+// which requests CPRO depth). d_mem and the slot size are read from the
+// analyzer at evaluation time.
 type termCurve struct {
 	period taskmodel.Time
 	pd     taskmodel.Time
 	md     int64
 	mdr    int64
-	// gamma is γ_{i,j,core(j)} at the backbone's level.
+	// gamma is γ_{i,j,core(j)} at the backbone's cutoff.
 	gamma int64
-	// pcb caches |PCB_j| for the FullReload CPRO bound; unionOverlap
-	// and evictors are the Eq. (14) CPRO terms. CPRO depth only.
-	pcb          int64
-	unionOverlap int64
-	evictors     []persistence.EvictorTerm
+	// pcb caches |PCB_j| for the FullReload CPRO bound; cproEntry holds
+	// the Eq. (14) CPRO terms. CPRO depth only.
+	pcb int64
+	cproEntry
 }
 
-// levelCurves materializes one analysis level's interference curves,
-// mirroring the row's hp/hep/lp slices (same tasks, same order — the
-// summation order of the oracle's BAS, BAO and baoLow in reference.go,
-// kept identical so the engine reproduces their arithmetic exactly). Like the pair tables the
-// build is lazy — per level, per core, per column: TDMA and Perfect
-// never pay for remote curves, and persistence-oblivious
-// configurations never pay for the CPRO fills. The slices are views
-// into backbones that may be shared through the MemoStore and must
-// not be mutated; per-level state here is only the bookkeeping flags.
-type levelCurves struct {
-	// same covers hp(i) on the task's own core: the processor
-	// preemption term of Eq. (19) and the BAS term of Eq. (1)/Lemma 1.
-	same []termCurve
-	// remote[y]/low[y] cover hep(i)∩Γ_y and lp(i)∩Γ_y: the BAO and
-	// BAO_low terms of Eq. (3)–(7), subsliced from one contiguous
-	// per-core backbone at the level's priority cutoff.
-	remote [][]termCurve
-	low    [][]termCurve
-
-	sameBuilt     bool
-	samePersist   bool
-	remoteBuilt   []bool
-	remotePersist []bool
-}
-
-func (tb *Tables) levelCurves(ii int) *levelCurves {
-	if tb.curves == nil {
-		tb.curves = make([]levelCurves, len(tb.tasks))
+// curveDepth is the slot depth a request needs: γ depth, or CPRO depth
+// (a superset) when persistence is on.
+func curveDepth(persist bool) uint8 {
+	if persist {
+		return 2
 	}
-	lc := &tb.curves[ii]
-	if lc.remoteBuilt == nil {
-		m := tb.ts.Platform.NumCores
-		hdr := make([][]termCurve, 2*m)
-		lc.remote, lc.low = hdr[:m:m], hdr[m:]
-		flags := make([]bool, 2*m)
-		lc.remoteBuilt, lc.remotePersist = flags[:m:m], flags[m:]
-	}
-	return lc
+	return 1
 }
 
-// buildSameBackbone materializes level ii's same-core backbone at the
-// requested depth: one termCurve per hp task, in hp order. The shared
-// body of the local build and the memoized compute, so store-served
-// and per-analysis backbones are bit-identical; counted as a genuine
-// cold build (CtrCurveBuilds).
-func (tb *Tables) buildSameBackbone(ii int, persist bool, obs *telemetry.Observer) []termCurve {
+// buildBackbone materializes the backbone of refs, a run of core y's
+// tasks starting at the front of byCore[y], from the slot columns at
+// level ii's cutoff k on y: one termCurve per task, in byCore order,
+// the terms past k (the lp tail of a remote backbone) reading γ = 0 and
+// their own CPRO entries. withPD fills pd, which only same-core terms
+// read; the remote content key omits it, so PD edits keep remote
+// backbones. It is the one body of the local build and the memoized
+// compute, so store-served and per-analysis backbones are
+// bit-identical; counted as a genuine cold build (CtrCurveBuilds).
+func (tb *tables) buildBackbone(ii, y int, refs []taskRef, withPD, persist bool, obs *telemetry.Observer) []termCurve {
+	k := tb.hepCount(ii, y)
 	if obs != nil {
 		obs.Add(telemetry.CtrCurveBuilds, 1)
 		if obs.Tracing() {
-			defer obs.Span("curves level "+strconv.Itoa(ii)+" same", "curves").End()
+			defer obs.Span("curves core "+strconv.Itoa(y)+" cutoff "+strconv.Itoa(k), "curves").End()
 		}
 	}
-	core := tb.tasks[ii].Core
-	if tb.memo != nil {
-		tb.memoFillGamma(ii, core, obs)
-		if persist {
-			tb.memoFillPersist(ii, core, false, obs)
+	gamma := tb.gammaCol(ii, y, obs)
+	var cpro, low []cproEntry
+	if persist {
+		cpro = tb.cproCol(y, k, obs)
+		if len(refs) > k {
+			low = tb.cproLowCol(y, k, obs)
 		}
 	}
-	hp := tb.hp(ii)
-	terms := carve(&tb.ar.terms, len(hp))
-	for k, ref := range hp {
-		p := tb.pair(ii, ref.idx)
-		if persist {
-			p = tb.pairPersist(ii, ref.idx)
-		}
-		tc := &terms[k]
-		tc.period, tc.pd = ref.t.Period, ref.t.PD
-		tc.md, tc.mdr = ref.t.MD, ref.t.MDr
-		tc.gamma = p.gamma
-		if persist {
-			tc.pcb = tb.pcb[ref.idx]
-			tc.unionOverlap = p.unionOverlap
-			tc.evictors = p.evictors
-		}
-	}
-	return terms
-}
-
-// buildRemoteBackbone materializes core y's backbone at level ii:
-// hep(ii)∩Γ_y followed by lp(ii)∩Γ_y, contiguous in byCore order. pd
-// stays zero — no remote term reads it, and the backbone's content key
-// (remoteDig) deliberately omits it so PD edits keep remote backbones.
-func (tb *Tables) buildRemoteBackbone(ii, y int, persist bool, obs *telemetry.Observer) []termCurve {
-	if obs != nil {
-		obs.Add(telemetry.CtrCurveBuilds, 1)
-		if obs.Tracing() {
-			defer obs.Span("curves level "+strconv.Itoa(ii)+" core "+strconv.Itoa(y), "curves").End()
-		}
-	}
-	if tb.memo != nil {
-		tb.memoFillGamma(ii, y, obs)
-		if persist {
-			tb.memoFillPersist(ii, y, true, obs)
-		}
-	}
-	// hep(ii)∩Γ_y followed by lp(ii)∩Γ_y is byCore[y] itself.
-	refs := tb.byCore[y]
-	terms := carve(&tb.ar.terms, len(refs))
-	for k, ref := range refs {
-		p := tb.pair(ii, ref.idx)
-		if persist {
-			p = tb.pairPersist(ii, ref.idx)
-		}
-		tc := &terms[k]
+	terms := carve(&tb.ar.terms, len(refs), 0)
+	for pos, ref := range refs {
+		tc := &terms[pos]
 		tc.period = ref.t.Period
+		if withPD {
+			tc.pd = ref.t.PD
+		}
 		tc.md, tc.mdr = ref.t.MD, ref.t.MDr
-		tc.gamma = p.gamma
+		if pos < k {
+			tc.gamma = gamma[pos]
+		}
 		if persist {
 			tc.pcb = tb.pcb[ref.idx]
-			tc.unionOverlap = p.unionOverlap
-			tc.evictors = p.evictors
+			if pos < k {
+				tc.cproEntry = cpro[pos]
+			} else {
+				tc.cproEntry = low[pos-k]
+			}
 		}
 	}
 	return terms
 }
 
-// curveSame returns level ii's same-core curves, materialized on first
-// use — from the shared store when one is attached (keyed by content,
-// so any analysis whose hp prefix matches reuses the backbone
-// copy-free), locally otherwise. A curve already materialized at
-// sufficient depth is a warm intra-Tables hit (CtrCurveHits); a persist
-// request against a γ-depth curve re-materializes at CPRO depth under
-// its own key, and cursors still holding the γ-depth slice stay valid —
-// published backbones are immutable.
-func (tb *Tables) curveSame(ii int, persist bool, obs *telemetry.Observer) []termCurve {
-	lc := tb.levelCurves(ii)
-	if lc.sameBuilt && (!persist || lc.samePersist) {
+// curveSame returns level ii's same-core curves — the processor
+// preemption term of Eq. (19) and the BAS term of Eq. (1)/Lemma 1 over
+// hp(i), in hp order (the summation order of the oracle's BAS in
+// reference.go, kept identical so the engine reproduces its arithmetic
+// exactly). They live in the slot of the level's own cutoff,
+// materialized on first use — from the shared store when one is
+// attached (keyed by content, so any analysis whose hp prefix matches
+// reuses the backbone copy-free), locally otherwise. A backbone already
+// materialized at sufficient depth is a warm hit (CtrCurveHits); a
+// persist request against a γ-depth backbone re-materializes at CPRO
+// depth under its own key, and cursors still holding the γ-depth slice
+// stay valid — backbones are immutable once built.
+func (tb *tables) curveSame(ii int, persist bool, obs *telemetry.Observer) []termCurve {
+	y := tb.tasks[ii].Core
+	k := tb.hepCount(ii, y)
+	s := tb.slot(y, k)
+	if s.sameDepth >= curveDepth(persist) {
 		if obs != nil {
 			obs.Add(telemetry.CtrCurveHits, 1)
 		}
-		return lc.same
+		return s.same
 	}
-	core := tb.tasks[ii].Core
+	build := func() []termCurve { return tb.buildBackbone(ii, y, tb.hp(ii), true, persist, obs) }
 	// k−1 = |hp|: priorities are unique, so the own-core hep prefix
 	// contains exactly the hp tasks plus the level itself.
-	if k := tb.hepCount(ii, core); tb.memo != nil && k > 1 {
-		key := tb.curveKey(core, k, sameCurveFlavor(persist))
-		lc.same = tb.memo.getOrComputeCurve(key, obs, func() []termCurve {
-			return tb.buildSameBackbone(ii, persist, obs)
-		})
+	if tb.memo != nil && k > 1 {
+		s.same = tb.memo.getOrComputeCurve(tb.curveKey(y, k, sameCurveFlavor(persist)), obs, build)
 	} else {
-		lc.same = tb.buildSameBackbone(ii, persist, obs)
+		s.same = build()
 	}
-	lc.sameBuilt = true
-	lc.samePersist = persist
-	return lc.same
+	s.sameDepth = curveDepth(persist)
+	return s.same
 }
 
-// curveRemote returns level ii's hep and lp curves on core y,
-// materialized on first use like curveSame; both views subslice one
-// contiguous backbone at the level's priority cutoff.
-func (tb *Tables) curveRemote(ii, y int, persist bool, obs *telemetry.Observer) (remote, low []termCurve) {
-	lc := tb.levelCurves(ii)
-	if lc.remoteBuilt[y] && (!persist || lc.remotePersist[y]) {
+// curveRemote returns level ii's curves on remote core y: hep(i)∩Γ_y
+// and lp(i)∩Γ_y, the BAO and BAO_low terms of Eq. (3)–(7). Both are
+// views of one backbone, byCore[y] in order, held by the slot of the
+// level's cutoff k on y and split at k; materialized like curveSame.
+func (tb *tables) curveRemote(ii, y int, persist bool, obs *telemetry.Observer) (remote, low []termCurve) {
+	k, shape := tb.hepCount(ii, y), tb.gammaFlavor(ii, y)
+	s := tb.slot(y, k)
+	if s.remoteDepth[shape] >= curveDepth(persist) {
 		if obs != nil {
 			obs.Add(telemetry.CtrCurveHits, 1)
 		}
-		return lc.remote[y], lc.low[y]
-	}
-	k := tb.hepCount(ii, y)
-	var terms []termCurve
-	if tb.memo != nil && len(tb.byCore[y]) > 0 {
-		key := tb.curveKey(y, k, remoteCurveFlavor(tb.gammaFlavor(ii, y), persist))
-		terms = tb.memo.getOrComputeCurve(key, obs, func() []termCurve {
-			return tb.buildRemoteBackbone(ii, y, persist, obs)
-		})
 	} else {
-		terms = tb.buildRemoteBackbone(ii, y, persist, obs)
+		build := func() []termCurve { return tb.buildBackbone(ii, y, tb.byCore[y], false, persist, obs) }
+		if tb.memo != nil && len(tb.byCore[y]) > 0 {
+			s.remote[shape] = tb.memo.getOrComputeCurve(tb.curveKey(y, k, remoteCurveFlavor(shape, persist)), obs, build)
+		} else {
+			s.remote[shape] = build()
+		}
+		s.remoteDepth[shape] = curveDepth(persist)
 	}
-	lc.remote[y] = terms[:k:k]
-	lc.low[y] = terms[k:]
-	lc.remoteBuilt[y] = true
-	lc.remotePersist[y] = persist
-	return lc.remote[y], lc.low[y]
+	terms := s.remote[shape]
+	return terms[:k:k], terms[k:]
 }
 
 // sameCursor tracks one same-core task's pair of step functions: the

@@ -175,10 +175,10 @@ func TestDifferentialBatch(t *testing.T) {
 func TestTablesReuseAcrossDMem(t *testing.T) {
 	for _, ts := range differentialCorpus(t, 4) {
 		cfg := Config{Arbiter: RR, Persistence: true}
-		tbl := PrecomputeTables(ts, cfg.CRPD)
+		tbl := precomputeTables(ts, cfg.CRPD)
 		for _, d := range []taskmodel.Time{1, 3, 17} {
 			clone := cloneWithDMem(ts, d)
-			a, err := NewAnalyzerWithTables(clone, cfg, tbl)
+			a, err := newAnalyzerWithTables(clone, cfg, tbl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,15 +289,15 @@ func TestResponseTimeZeroAlloc(t *testing.T) {
 // refuses task sets the cached terms were not built for.
 func TestAnalyzerWithTablesRejectsMismatch(t *testing.T) {
 	sets := differentialCorpus(t, 2)
-	tbl := PrecomputeTables(sets[0], 0)
+	tbl := precomputeTables(sets[0], 0)
 	scaled := cloneScaled(sets[0], 2.0)
-	if _, err := NewAnalyzerWithTables(scaled, Config{Arbiter: FP}, tbl); err == nil {
+	if _, err := newAnalyzerWithTables(scaled, Config{Arbiter: FP}, tbl); err == nil {
 		t.Error("period-scaled clone accepted against stale tables")
 	}
-	if _, err := NewAnalyzerWithTables(sets[1], Config{Arbiter: FP}, tbl); err == nil {
+	if _, err := newAnalyzerWithTables(sets[1], Config{Arbiter: FP}, tbl); err == nil {
 		t.Error("unrelated task set accepted against foreign tables")
 	}
-	if _, err := NewAnalyzerWithTables(sets[0], Config{Arbiter: FP, CRPD: 2}, tbl); err == nil {
+	if _, err := newAnalyzerWithTables(sets[0], Config{Arbiter: FP, CRPD: 2}, tbl); err == nil {
 		t.Error("CRPD mismatch accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/crpd"
-	"repro/internal/persistence"
 	"repro/internal/telemetry"
 )
 
@@ -21,11 +20,13 @@ import (
 // so any request (concurrent or later) that contains the same column
 // reuses it bit for bit.
 //
-// Unit of sharing. Both the γ column and the CPRO column of a level
-// depend on one core's tasks only through the priority-ordered prefix
-// ending at the level's cutoff: the k = |Γ_y ∩ hep(i)| lowest-priority
-// tasks of core y. Every quantity the tables cache is a pure function
-// of that prefix:
+// Unit of sharing. The tables already hold every column in the slot of
+// (core y, cutoff k): a level reads core y's tasks only through the
+// priority-ordered prefix ending at its cutoff, the k = |Γ_y ∩ hep(i)|
+// first tasks of byCore[y]. A slot accessor with a store attached
+// fetches its column under that prefix's content key instead of
+// computing it, and every quantity the tables cache is a pure function
+// of the prefix:
 //
 //   - γ_{i,j,y} (every crpd.Approach) reads the UCB/ECB sets of the
 //     prefix tasks — the evicting union ∪ ECB over hep(j) ∩ Γ_y and the
@@ -63,28 +64,28 @@ import (
 // the first requester becomes the leader and computes while followers
 // of the same key block on a done channel. A leader that panics drops
 // its entry and re-panics; released followers recompute locally
-// without publishing. Published columns are immutable — the evictor
-// slices are aliased, never copied, into every pairTab that reuses
-// them — and the done-channel close provides the happens-before edge
-// that makes the aliasing race-free.
+// without publishing. Published columns are immutable — a hit's slices
+// are aliased, never copied, into the slot that reads them — and the
+// done-channel close provides the happens-before edge that makes the
+// aliasing race-free.
 
 // memoKey is a content-addressed column identity (SHA-256).
 type memoKey [sha256.Size]byte
 
 // memoColumn is one published column: the γ values and/or CPRO terms
-// of a prefix, indexed by prefix position. A γ column leaves the
-// persist slices nil and vice versa; a single lower-priority entry is
-// a persist column of length one. Immutable after publication.
+// of a prefix, indexed by prefix position. A γ column leaves cpro nil
+// and vice versa; a single lower-priority entry is a CPRO column of
+// length one. Immutable after publication.
 type memoColumn struct {
-	gamma        []int64
-	unionOverlap []int64
-	evictors     [][]persistence.EvictorTerm
+	gamma []int64
+	cpro  []cproEntry
 }
 
 // curveColumn is one published curve backbone: an immutable termCurve
-// slice shared copy-free by every analysis whose level/core column has
-// the same content key. Remote backbones store hep ++ lp contiguously;
-// the consumer splits at its own cutoff, which the key covers.
+// slice shared copy-free by every analysis whose (core, cutoff) slot
+// has the same content key. Remote backbones store hep ++ lp
+// contiguously; the consumer splits at its own cutoff, which the key
+// covers.
 type curveColumn struct {
 	terms []termCurve
 }
@@ -275,13 +276,12 @@ func (m *MemoStore) Len() int {
 	return n
 }
 
-// setMemo attaches the shared column store (and the observer the lazy
-// fills report to). Must be called before the first analysis touches
-// the tables.
-func (tb *Tables) setMemo(m *MemoStore) { tb.memo = m }
+// setMemo attaches the shared column store. Must be called before the
+// first analysis touches the tables.
+func (tb *tables) setMemo(m *MemoStore) { tb.memo = m }
 
 // digests lazily computes the per-task field digests the column keys
-// are assembled from. One pass per Tables; the sets are hashed via
+// are assembled from. One pass per tables; the sets are hashed via
 // their raw bit words (setWords), so the cost is linear in the cache
 // geometry rather than the footprint's population count.
 //
@@ -291,7 +291,7 @@ func (tb *Tables) setMemo(m *MemoStore) { tb.memo = m }
 // remote backbones alive across the classic one-task-PD sweep). Those
 // are fixed-width fields, so curveKey writes them directly instead of
 // paying two more SHA-256 rounds per task here.
-func (tb *Tables) digests() {
+func (tb *tables) digests() {
 	if tb.gammaDig != nil {
 		return
 	}
@@ -315,7 +315,7 @@ func (tb *Tables) digests() {
 
 // colKey flavors, part of the cached-key identity. The first
 // numChainFlavors are Merkle chains cached densely per core in the
-// Tables' key arena (chainSlot); the curve* flavors key whole backbone
+// tables' key arena (chainSlot); the curve* flavors key whole backbone
 // materializations one level up (see curveKey).
 const (
 	colGamma = iota
@@ -348,7 +348,7 @@ const (
 // start at -1 (nothing filled). Prefix flavors fill upward and read the
 // watermark as the highest valid cutoff; the lp-tail suffix flavors
 // fill downward and read it as the lowest (with -1 meaning empty).
-func (tb *Tables) chainSlot(y, flavor int) ([]memoKey, *int) {
+func (tb *tables) chainSlot(y, flavor int) ([]memoKey, *int) {
 	if tb.chainKeys == nil {
 		tb.chainKeys = make([]memoKey, numChainFlavors*(len(tb.tasks)+len(tb.byCore)))
 		tb.chainWM = make([]int, numChainFlavors*len(tb.byCore))
@@ -361,10 +361,10 @@ func (tb *Tables) chainSlot(y, flavor int) ([]memoKey, *int) {
 	return tb.chainKeys[base : base+stride], &tb.chainWM[y*numChainFlavors+flavor]
 }
 
-// keyWriter returns the Tables' reusable hash writer, reset: key
+// keyWriter returns the tables' reusable hash writer, reset: key
 // assembly runs thousands of SHA rounds per build and a per-call
 // sha256.New would put every one of them on the allocator.
-func (tb *Tables) keyWriter() *hashWriter {
+func (tb *tables) keyWriter() *hashWriter {
 	if tb.kw.h == nil {
 		tb.kw.h = sha256.New()
 	} else {
@@ -376,14 +376,14 @@ func (tb *Tables) keyWriter() *hashWriter {
 // colKey returns (building and caching on first use) the
 // content-addressed key of core y's column at cutoff k under the given
 // flavor. Keys are Merkle-chained — each cutoff hashes the previous
-// cutoff's key plus the one digest the prefix grew by — so a Tables
+// cutoff's key plus the one digest the prefix grew by — so a tables
 // pays O(1) SHA-256 rounds per (core, cutoff) instead of re-hashing
 // the whole O(k) digest sequence. Order still matters (the running
 // evicting unions and affected-task sets are positional) and the chain
 // preserves it: two distinct digest sequences collide only through a
 // SHA-256 collision, link by link. Links are cached densely per core
 // (chainSlot) and missing ranges filled iteratively from the watermark.
-func (tb *Tables) colKey(y, k, flavor int) memoKey {
+func (tb *tables) colKey(y, k, flavor int) memoKey {
 	ks, wm := tb.chainSlot(y, flavor)
 	if *wm >= k {
 		return ks[k]
@@ -422,7 +422,7 @@ func (tb *Tables) colKey(y, k, flavor int) memoKey {
 // (plus each tail task's persist digest at CPRO depth, covering its
 // own PCB against the prefix union). Chaining makes every link O(1)
 // SHA work, mirroring colKey; links live in the same dense arena.
-func (tb *Tables) scalarChain(y, j, flavor int) memoKey {
+func (tb *tables) scalarChain(y, j, flavor int) memoKey {
 	ks, wm := tb.chainSlot(y, flavor)
 	refs := tb.byCore[y]
 	switch flavor {
@@ -490,7 +490,7 @@ func (tb *Tables) scalarChain(y, j, flavor int) memoKey {
 // selfLast shape is only distinguishable under crpd.ECBOnly (see the
 // package comment), so it is normalized away otherwise to maximize
 // sharing.
-func (tb *Tables) gammaFlavor(ii, y int) int {
+func (tb *tables) gammaFlavor(ii, y int) int {
 	if tb.crpd == crpd.ECBOnly && tb.tasks[ii].Core == y {
 		return colGammaSelfLast
 	}
@@ -523,11 +523,10 @@ func remoteCurveFlavor(gflavor int, persist bool) int {
 	return curveRemoteKey
 }
 
-// curveKey returns (building and caching on first use) the
-// content-addressed identity of one curve backbone on core y at
-// priority cutoff k. The key chains the table-column sub-keys the
-// backbone's γ/CPRO fields are drawn from with the ordered scalar
-// digests of exactly the tasks whose termCurve entries it holds:
+// curveKey returns the content-addressed identity of one curve
+// backbone on core y at priority cutoff k. The key chains the column
+// sub-keys the backbone's γ/CPRO fields are drawn from with the ordered
+// scalar digests of exactly the tasks whose termCurve entries it holds:
 //
 //   - same-core (cutoff k = |hep ∩ Γ_y|, terms = the k−1 hp tasks):
 //     γ column key [+ CPRO column key at persist depth] ++ the
@@ -542,15 +541,11 @@ func remoteCurveFlavor(gflavor int, persist bool) int {
 //
 // Scalars excluded everywhere: d_mem and the slot size are read from
 // the analyzer at evaluation time (the d_mem-sensitivity contract of
-// Tables.compatible), and priorities/cores/names/deadlines enter only
+// tables.compatible), and priorities/cores/names/deadlines enter only
 // through prefix membership and order, exactly as in the column keys.
-func (tb *Tables) curveKey(y, k, flavor int) memoKey {
-	ck := uint64(y)<<36 | uint64(k)<<4 | uint64(flavor)
-	if key, ok := tb.colKeys[ck]; ok {
-		return key
-	}
+func (tb *tables) curveKey(y, k, flavor int) memoKey {
 	// Sub-keys are gathered before the final assembly: the chain fills
-	// share the Tables' one hash writer, so they must not run while the
+	// share the tables' one hash writer, so they must not run while the
 	// curve key's own hash is in flight.
 	var key memoKey
 	switch flavor {
@@ -604,97 +599,13 @@ func (tb *Tables) curveKey(y, k, flavor int) memoKey {
 		w.h.Write(lt[:])
 		w.h.Sum(key[:0])
 	}
-	if tb.colKeys == nil {
-		tb.colKeys = make(map[uint64]memoKey, 2*len(tb.tasks))
-	}
-	tb.colKeys[ck] = key
 	return key
-}
-
-// memoFillGamma populates the γ entries of level ii's pair column on
-// core y from the shared store, computing the column once per content
-// key. Positions already built (by the per-pair path) are left
-// untouched; the memoized values are bit-identical by construction —
-// both paths run the same computeGamma.
-func (tb *Tables) memoFillGamma(ii, y int, obs *telemetry.Observer) {
-	prefix := tb.hep(ii, y)
-	k := len(prefix)
-	if k == 0 {
-		return
-	}
-	pairs := tb.pairCol(ii)
-	key := tb.colKey(y, k, tb.gammaFlavor(ii, y))
-	col := tb.memo.getOrComputeColumn(key, obs, func() *memoColumn {
-		c := &memoColumn{gamma: make([]int64, k)}
-		for pos, ref := range prefix {
-			c.gamma[pos] = tb.computeGamma(ii, ref.idx)
-		}
-		return c
-	})
-	for pos, ref := range prefix {
-		p := &pairs[ref.idx]
-		if !p.gammaBuilt {
-			p.gamma = col.gamma[pos]
-			p.gammaBuilt = true
-		}
-	}
-}
-
-// memoFillPersist populates the CPRO entries of level ii's pair column
-// on core y — the hep prefix from the shared per-prefix column, the
-// lower-priority tasks (withLow) from chained single-task entries.
-func (tb *Tables) memoFillPersist(ii, y int, withLow bool, obs *telemetry.Observer) {
-	pairs := tb.pairCol(ii)
-	prefix := tb.hep(ii, y)
-	k := len(prefix)
-	if k > 0 {
-		key := tb.colKey(y, k, colPersist)
-		col := tb.memo.getOrComputeColumn(key, obs, func() *memoColumn {
-			c := &memoColumn{
-				unionOverlap: make([]int64, k),
-				evictors:     make([][]persistence.EvictorTerm, k),
-			}
-			for pos, ref := range prefix {
-				c.unionOverlap[pos], c.evictors[pos] = tb.computePersist(prefix, ref.idx)
-			}
-			return c
-		})
-		for pos, ref := range prefix {
-			p := &pairs[ref.idx]
-			if !p.persistBuilt {
-				p.unionOverlap = col.unionOverlap[pos]
-				p.evictors = col.evictors[pos]
-				p.persistBuilt = true
-			}
-		}
-	}
-	if !withLow {
-		return
-	}
-	for _, ref := range tb.lp(ii, y) {
-		p := &pairs[ref.idx]
-		if p.persistBuilt {
-			continue
-		}
-		key := tb.lpKey(y, k, ref.idx)
-		jj := ref.idx
-		col := tb.memo.getOrComputeColumn(key, obs, func() *memoColumn {
-			uo, ev := tb.computePersist(prefix, jj)
-			return &memoColumn{
-				unionOverlap: []int64{uo},
-				evictors:     [][]persistence.EvictorTerm{ev},
-			}
-		})
-		p.unionOverlap = col.unionOverlap[0]
-		p.evictors = col.evictors[0]
-		p.persistBuilt = true
-	}
 }
 
 // lpKey keys one lower-priority task's CPRO entry against core y's
 // cutoff-k prefix: the prefix persist key chained with the task's own
 // persist digest.
-func (tb *Tables) lpKey(y, k, jj int) memoKey {
+func (tb *tables) lpKey(y, k, jj int) memoKey {
 	var pk memoKey
 	if k > 0 {
 		pk = tb.colKey(y, k, colPersist)

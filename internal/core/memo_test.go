@@ -249,9 +249,9 @@ func TestResponseTimeZeroAllocMemo(t *testing.T) {
 		{Arbiter: TDMA, Persistence: false},
 	} {
 		ts := differentialCorpus(t, 1)[0]
-		tbl := PrecomputeTables(ts, cfg.CRPD)
+		tbl := precomputeTables(ts, cfg.CRPD)
 		tbl.setMemo(store)
-		a, err := NewAnalyzerWithTables(ts, cfg, tbl)
+		a, err := newAnalyzerWithTables(ts, cfg, tbl)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,10 +58,10 @@ func MaxDMem(ts *taskmodel.TaskSet, cfg Config, limit taskmodel.Time, opts Optio
 	// None of the precomputed interference terms depend on d_mem, so one
 	// set of tables serves every probe of the search, filled from and
 	// shared through opts.Memo when one is given.
-	tbl := PrecomputeTables(ts, cfg.CRPD)
+	tbl := precomputeTables(ts, cfg.CRPD)
 	tbl.setMemo(opts.Memo)
 	sched := func(d taskmodel.Time) (bool, error) {
-		a, err := NewAnalyzerWithTables(cloneWithDMem(ts, d), cfg, tbl)
+		a, err := newAnalyzerWithTables(cloneWithDMem(ts, d), cfg, tbl)
 		if err != nil {
 			return false, err
 		}
