@@ -202,10 +202,6 @@ func (c *Client) analyzeOne(ctx context.Context, req core.BatchRequest) ([]*core
 // of the server's core.WireConfig.Config); a round-trip test in
 // internal/server pins the two against each other via the canonical key.
 func EncodeAnalyzeBody(ts *taskmodel.TaskSet, cfgs []core.Config) ([]byte, error) {
-	var tsBuf bytes.Buffer
-	if err := ts.WriteJSON(&tsBuf); err != nil {
-		return nil, err
-	}
 	wcs := make([]core.WireConfig, len(cfgs))
 	for i, c := range cfgs {
 		wc, err := c.Wire()
@@ -215,7 +211,7 @@ func EncodeAnalyzeBody(ts *taskmodel.TaskSet, cfgs []core.Config) ([]byte, error
 		wcs[i] = wc
 	}
 	return json.Marshal(map[string]any{
-		"taskset": json.RawMessage(tsBuf.Bytes()),
+		"taskset": taskmodel.NewTaskSetJSON(ts),
 		"configs": wcs,
 	})
 }

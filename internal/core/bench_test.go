@@ -288,3 +288,18 @@ func TestDeltaSweepWallClockSpeedup(t *testing.T) {
 	}
 	t.Logf("delta sweep wall-clock: cold=%v memo=%v (%.1fx)", cold, memo, ratio)
 }
+
+// BenchmarkCanonicalKey keys the edit-shape set (BenchmarkDeltaSweep's
+// ~160 tasks over an 8192-set cache) under the six paper variants: the
+// per-request hashing cost every /v1/analyze and every delta pays.
+func BenchmarkCanonicalKey(b *testing.B) {
+	ts := deltaSweepSet(b)
+	cfgs := deltaSweepConfigs()
+	benchOp(b, func() error {
+		keySink = CanonicalKey(ts, cfgs)
+		return nil
+	})
+}
+
+// keySink keeps the compiler from dropping a benchmarked key.
+var keySink string

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"math/bits"
 
 	"repro/internal/cacheset"
 	"repro/internal/persistence"
@@ -48,8 +49,8 @@ func (c Config) canonical() Config {
 type hashWriter struct {
 	h   hash.Hash
 	buf [8]byte
-	// tmp stages multi-word writes (setWords) so each set costs one
-	// Write call instead of one per element.
+	// tmp stages multi-word writes (set, setWords) so each set costs
+	// one Write call instead of one per element.
 	tmp []byte
 }
 
@@ -68,16 +69,24 @@ func (w *hashWriter) boolean(b bool) {
 }
 
 func (w *hashWriter) str(s string) {
-	w.u64(uint64(len(s)))
-	w.h.Write([]byte(s))
+	w.tmp = append(binary.LittleEndian.AppendUint64(w.tmp[:0], uint64(len(s))), s...)
+	w.h.Write(w.tmp)
 }
 
+// set hashes a set as its member count followed by each member index
+// in ascending order, one 8-byte word apiece — the published request-key
+// encoding. The bytes are staged in tmp straight from the backing words
+// and written once per set.
 func (w *hashWriter) set(s cacheset.Set) {
-	idx := s.Indices()
-	w.u64(uint64(len(idx)))
-	for _, i := range idx {
-		w.i64(int64(i))
+	w.tmp = binary.LittleEndian.AppendUint64(w.tmp[:0], 0) // count, patched below
+	for wi, word := range s.Words() {
+		for word != 0 {
+			w.tmp = binary.LittleEndian.AppendUint64(w.tmp, uint64(wi*64+bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
 	}
+	binary.LittleEndian.PutUint64(w.tmp, uint64(len(w.tmp)/8-1))
+	w.h.Write(w.tmp)
 }
 
 // setWords hashes a set's exact contents via its backing bit words —

@@ -259,7 +259,7 @@ func TestBatchFanOutBounded(t *testing.T) {
 		if err := ts.WriteJSON(&tsBuf); err != nil {
 			t.Fatal(err)
 		}
-		reqs[i] = wireAnalyzeRequest{TaskSet: tsBuf.Bytes(), Configs: paperConfigs[:1]}
+		reqs[i] = wireAnalyzeRequest{TaskSet: wireTaskSet(t, tsBuf.Bytes()), Configs: paperConfigs[:1]}
 	}
 	body, err := json.Marshal(wireBatchRequest{Requests: reqs})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -261,19 +260,49 @@ func applyEdits(base *taskmodel.TaskSet, edits []wireEdit) (*taskmodel.TaskSet, 
 	return ts, nil
 }
 
+// deltaInputs applies a delta request to its base: the edited task set
+// and the configurations to analyze it under (the request's, else the
+// base's), validated like a full /v1/analyze request.
+func deltaInputs(baseTS *taskmodel.TaskSet, baseCfgs []core.Config, req *wireDeltaRequest) (*taskmodel.TaskSet, []core.Config, error) {
+	ts, err := applyEdits(baseTS, req.Edits)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfgs := baseCfgs
+	if len(req.Configs) > 0 {
+		if cfgs, err = parseConfigs(req.Configs); err != nil {
+			return nil, nil, err
+		}
+	}
+	// The edits may have invalidated a cross-field constraint the base
+	// satisfied (e.g. zeroing reg_budget under a regulated config); that
+	// is still malformed input, not an engine failure.
+	for i, cfg := range cfgs {
+		if err := cfg.ValidateFor(ts.Platform); err != nil {
+			return nil, nil, fmt.Errorf("config %d: %w", i, err)
+		}
+	}
+	return ts, cfgs, nil
+}
+
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+	ri := reqInfoFrom(r.Context())
+	st := ri.stageTimer()
+	td := st.Now()
+	body, ok := s.readBody(w, r)
+	if !ok {
+		st.AddSince(telemetry.StageDecode, td)
 		return
 	}
 	var req wireDeltaRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	err := json.Unmarshal(body, &req)
+	st.AddSince(telemetry.StageDecode, td)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
@@ -281,7 +310,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("missing base_key (analyze the full request once and reuse its key)"))
 		return
 	}
-	ri := reqInfoFrom(r.Context())
 	// Fleet routing keys on the *base*: the owner of the base key holds
 	// its registry entry and the warm memo backbones the delta reuses.
 	// A base this node already knows resolves locally regardless of
@@ -305,29 +333,17 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.obs.Add(telemetry.CtrServerDeltaEdits, int64(len(req.Edits)))
-	ts, err := applyEdits(baseTS, req.Edits)
+	td = st.Now()
+	ts, cfgs, err := deltaInputs(baseTS, baseCfgs, &req)
+	st.AddSince(telemetry.StageDecode, td)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cfgs := baseCfgs
-	if len(req.Configs) > 0 {
-		cfgs, err = parseConfigs(req.Configs)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	// The edits may have invalidated a cross-field constraint the base
-	// satisfied (e.g. zeroing reg_budget under a regulated config); that
-	// is still malformed input, not an engine failure.
-	for i, cfg := range cfgs {
-		if err := cfg.ValidateFor(ts.Platform); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("config %d: %w", i, err))
-			return
-		}
-	}
-	oc, err := s.analyze(r.Context(), ri, core.CanonicalKey(ts, cfgs), ts, cfgs)
+	tk := st.Now()
+	key := core.CanonicalKey(ts, cfgs)
+	st.AddSince(telemetry.StageKey, tk)
+	oc, err := s.analyze(r.Context(), ri, key, ts, cfgs)
 	if err != nil {
 		s.writeError(w, statusOf(err), err)
 		return

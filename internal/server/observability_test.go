@@ -394,7 +394,7 @@ func TestBatchVerdictMixed(t *testing.T) {
 	if err := fixtures.Fig1TaskSet().WriteJSON(&tsBuf); err != nil {
 		t.Fatal(err)
 	}
-	item := wireAnalyzeRequest{TaskSet: tsBuf.Bytes(), Configs: paperConfigs[:1]}
+	item := wireAnalyzeRequest{TaskSet: wireTaskSet(t, tsBuf.Bytes()), Configs: paperConfigs[:1]}
 
 	// Warm the cache, then a batch of one fresh + one cached item.
 	if resp, data := postAnalyze(t, hs.URL, requestBody(t, fixtures.Fig1TaskSet(), paperConfigs[:1])); resp.StatusCode != http.StatusOK {
@@ -406,7 +406,7 @@ func TestBatchVerdictMixed(t *testing.T) {
 	if err := ts2.WriteJSON(&ts2Buf); err != nil {
 		t.Fatal(err)
 	}
-	item2 := wireAnalyzeRequest{TaskSet: ts2Buf.Bytes(), Configs: paperConfigs[:1]}
+	item2 := wireAnalyzeRequest{TaskSet: wireTaskSet(t, ts2Buf.Bytes()), Configs: paperConfigs[:1]}
 	body, _ := json.Marshal(wireBatchRequest{Requests: []wireAnalyzeRequest{item, item2}})
 	resp, err := http.Post(hs.URL+"/v1/analyze/batch", "application/json", bytes.NewReader(body))
 	if err != nil {

@@ -26,10 +26,10 @@
 //	GET  /debug/pprof/*     standard pprof handlers
 //
 // Every non-pprof request carries an ID (X-Request-ID passthrough or
-// generated), is timed per lifecycle stage (queue, cache, coalesce,
-// proxy, analyze, marshal), and can emit one structured access-log
-// line (Options.AccessLog). See DESIGN.md §11 for the API contract and
-// §13 for the observability layer.
+// generated), is timed per lifecycle stage (decode, key, queue, cache,
+// coalesce, proxy, analyze, marshal), and can emit one structured
+// access-log line (Options.AccessLog). See DESIGN.md §11 for the API
+// contract and §13 for the observability layer.
 //
 // With Options.Ring set the server is one node of a buscond fleet:
 // requests whose canonical key another node owns are relayed there
@@ -224,6 +224,34 @@ var errShed = errors.New("server: worker pool and queue full")
 // items) and exists to turn an absurd or hostile batch into a 400
 // instead of an allocation storm.
 const maxBatchItems = 1024
+
+// maxBodyBytes caps one request body (analyze, batch or delta). A full
+// maxBatchItems batch of paper-default task sets is about 34 MB; a
+// larger body is answered 413 before anything parses it.
+const maxBodyBytes = 64 << 20
+
+var errBodyTooLarge = fmt.Errorf("request body exceeds the %d MiB limit", maxBodyBytes>>20)
+
+// readBody reads a request body whole, capped at maxBodyBytes. On
+// failure it has answered the request itself — 413 past the cap, 400
+// for any other read error — and reports false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.ContentLength > maxBodyBytes {
+		s.writeError(w, http.StatusRequestEntityTooLarge, errBodyTooLarge)
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			s.writeError(w, http.StatusRequestEntityTooLarge, errBodyTooLarge)
+		} else {
+			s.writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+		}
+		return nil, false
+	}
+	return body, true
+}
 
 // analysisError marks a request whose engine run failed terminally
 // (even after the isolation layer's reference retry).
@@ -458,25 +486,31 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
+	ri := reqInfoFrom(r.Context())
+	st := ri.stageTimer()
+	td := st.Now()
 	// The body is read whole (not streamed into the decoder) so a
 	// non-owner node can relay it to the owning peer verbatim.
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
+	body, ok := s.readBody(w, r)
+	if !ok {
+		st.AddSince(telemetry.StageDecode, td)
 		return
 	}
-	var req wireAnalyzeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := decodeAnalyze(body)
+	if err != nil {
+		st.AddSince(telemetry.StageDecode, td)
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	ts, cfgs, err := req.decode()
+	st.AddSince(telemetry.StageDecode, td)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ri := reqInfoFrom(r.Context())
+	tk := st.Now()
 	key := core.CanonicalKey(ts, cfgs)
+	st.AddSince(telemetry.StageKey, tk)
 	degraded := false
 	if s.routeRemotely(r, key) {
 		if done := s.proxyAnalyze(w, r, ri, key, ts, cfgs, body); done {
@@ -505,30 +539,38 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
-	var req wireBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	ri := reqInfoFrom(r.Context())
+	st := ri.stageTimer()
+	td := st.Now()
+	body, ok := s.readBody(w, r)
+	if !ok {
+		st.AddSince(telemetry.StageDecode, td)
+		return
+	}
+	reqs, decodeErrs, err := decodeBatch(body)
+	st.AddSince(telemetry.StageDecode, td)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	if len(req.Requests) == 0 {
+	if len(reqs) == 0 {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
 	}
-	if len(req.Requests) > maxBatchItems {
+	if len(reqs) > maxBatchItems {
 		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d items exceeds the %d-item limit (split it)", len(req.Requests), maxBatchItems))
+			fmt.Errorf("batch of %d items exceeds the %d-item limit (split it)", len(reqs), maxBatchItems))
 		return
 	}
-	ri := reqInfoFrom(r.Context())
-	items := make([]wireBatchItem, len(req.Requests))
+	items := make([]wireBatchItem, len(reqs))
 	// Bounded fan-out: a fixed pool of runners claims items off a shared
 	// index instead of one goroutine per item — a huge batch must not be
 	// a goroutine bomb that sidesteps admission sizing. The pool is
 	// capped at Workers because that is all the concurrency the engine
 	// semaphore will grant anyway.
 	runners := s.opts.Workers
-	if runners > len(req.Requests) {
-		runners = len(req.Requests)
+	if runners > len(reqs) {
+		runners = len(reqs)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -538,10 +580,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(req.Requests) {
+				if i >= len(reqs) {
 					return
 				}
-				items[i] = s.batchItem(r, ri, &req.Requests[i])
+				if decodeErrs != nil && decodeErrs[i] != nil {
+					items[i] = wireBatchItem{Error: decodeErrs[i].Error(), Status: http.StatusBadRequest}
+					continue
+				}
+				items[i] = s.batchItem(r, ri, &reqs[i])
 			}
 		}()
 	}
@@ -554,11 +600,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // batchItem resolves one batch item: decode, fleet routing (proxy to
 // the owner, degrade on peer failure), then the ordinary analyze path.
 func (s *Server) batchItem(r *http.Request, ri *reqInfo, item *wireAnalyzeRequest) wireBatchItem {
+	st := ri.stageTimer()
+	td := st.Now()
 	ts, cfgs, err := item.decode()
+	st.AddSince(telemetry.StageDecode, td)
 	if err != nil {
 		return wireBatchItem{Error: err.Error(), Status: http.StatusBadRequest}
 	}
+	tk := st.Now()
 	key := core.CanonicalKey(ts, cfgs)
+	st.AddSince(telemetry.StageKey, tk)
 	degraded := false
 	if s.routeRemotely(r, key) {
 		if it, ok := s.proxyBatchItem(r, ri, key, ts, cfgs, item); ok {

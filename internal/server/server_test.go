@@ -26,11 +26,22 @@ func requestBody(t *testing.T, ts *taskmodel.TaskSet, cfgs []core.WireConfig) []
 	if err := ts.WriteJSON(&tsBuf); err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(wireAnalyzeRequest{TaskSet: tsBuf.Bytes(), Configs: cfgs})
+	body, err := json.Marshal(wireAnalyzeRequest{TaskSet: wireTaskSet(t, tsBuf.Bytes()), Configs: cfgs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return body
+}
+
+// wireTaskSet decodes a WriteJSON rendering into a request's task-set
+// field.
+func wireTaskSet(t testing.TB, raw []byte) *taskmodel.TaskSetJSON {
+	t.Helper()
+	var tsj taskmodel.TaskSetJSON
+	if err := json.Unmarshal(raw, &tsj); err != nil {
+		t.Fatal(err)
+	}
+	return &tsj
 }
 
 func postAnalyze(t *testing.T, url string, body []byte) (*http.Response, []byte) {
@@ -69,7 +80,7 @@ func coreConfigs(t *testing.T, wire []core.WireConfig) []core.Config {
 	if err := fixtures.Fig1TaskSet().WriteJSON(&tsBuf); err != nil {
 		t.Fatal(err)
 	}
-	req := wireAnalyzeRequest{TaskSet: tsBuf.Bytes(), Configs: wire}
+	req := wireAnalyzeRequest{TaskSet: wireTaskSet(t, tsBuf.Bytes()), Configs: wire}
 	_, cfgs, err := req.decode()
 	if err != nil {
 		t.Fatal(err)
@@ -359,8 +370,8 @@ func TestBatchEndpoint(t *testing.T) {
 	if err := fixtures.Fig1TaskSet().WriteJSON(&tsBuf); err != nil {
 		t.Fatal(err)
 	}
-	item := wireAnalyzeRequest{TaskSet: tsBuf.Bytes(), Configs: paperConfigs[:2]}
-	bad := wireAnalyzeRequest{TaskSet: tsBuf.Bytes(), Configs: []core.WireConfig{{Arbiter: "warp-drive"}}}
+	item := wireAnalyzeRequest{TaskSet: wireTaskSet(t, tsBuf.Bytes()), Configs: paperConfigs[:2]}
+	bad := wireAnalyzeRequest{TaskSet: wireTaskSet(t, tsBuf.Bytes()), Configs: []core.WireConfig{{Arbiter: "warp-drive"}}}
 	body, _ := json.Marshal(wireBatchRequest{Requests: []wireAnalyzeRequest{item, item, bad}})
 
 	resp, err := http.Post(hs.URL+"/v1/analyze/batch", "application/json", bytes.NewReader(body))
@@ -422,7 +433,7 @@ func TestRequestValidation(t *testing.T) {
 	if err := fixtures.Fig1TaskSet().WriteJSON(&tsBuf); err != nil {
 		t.Fatal(err)
 	}
-	noCfg, _ := json.Marshal(wireAnalyzeRequest{TaskSet: tsBuf.Bytes()})
+	noCfg, _ := json.Marshal(wireAnalyzeRequest{TaskSet: wireTaskSet(t, tsBuf.Bytes())})
 	if resp, _ := post(string(noCfg)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing configs: status %d, want 400", resp.StatusCode)
 	}
@@ -434,7 +445,7 @@ func TestRequestValidation(t *testing.T) {
 	if err := bad.WriteJSON(&badBuf); err != nil {
 		t.Fatal(err)
 	}
-	badBody, _ := json.Marshal(wireAnalyzeRequest{TaskSet: badBuf.Bytes(), Configs: paperConfigs[:1]})
+	badBody, _ := json.Marshal(wireAnalyzeRequest{TaskSet: wireTaskSet(t, badBuf.Bytes()), Configs: paperConfigs[:1]})
 	if resp, data := post(string(badBody)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid task set: status %d, want 400\n%s", resp.StatusCode, data)
 	}

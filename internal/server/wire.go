@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/taskmodel"
@@ -16,10 +17,11 @@ import (
 // posted.
 
 // wireAnalyzeRequest is the body of POST /v1/analyze and one item of
-// POST /v1/analyze/batch.
+// POST /v1/analyze/batch. The task set is decoded in the same pass as
+// the envelope; decode validates it.
 type wireAnalyzeRequest struct {
-	TaskSet json.RawMessage   `json:"taskset"`
-	Configs []core.WireConfig `json:"configs"`
+	TaskSet *taskmodel.TaskSetJSON `json:"taskset"`
+	Configs []core.WireConfig      `json:"configs"`
 }
 
 // wireAnalyzeResponse envelopes the engine results. Results holds the
@@ -35,6 +37,114 @@ type wireAnalyzeResponse struct {
 
 type wireBatchRequest struct {
 	Requests []wireAnalyzeRequest `json:"requests"`
+}
+
+// decodeAnalyze parses a /v1/analyze body, task set included, in one
+// pass.
+func decodeAnalyze(body []byte) (wireAnalyzeRequest, error) {
+	var req wireAnalyzeRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, err
+	}
+	if !repeatsTaskSetKey(body, countTaskSets(req)) {
+		return req, nil
+	}
+	var raw rawAnalyzeRequest
+	if err := json.Unmarshal(body, &raw); err != nil {
+		return req, err
+	}
+	return raw.request()
+}
+
+// decodeBatch parses a batch body in one pass. A task set that fails to
+// decode fails that pass for the whole body, yet it is its item's 400,
+// not the batch's: the body is then decoded again with every task set
+// kept raw and decoded on its own, and errs[i] carries item i's
+// failure. Any other malformation is the batch's, reported as the
+// one-pass error.
+func decodeBatch(body []byte) (items []wireAnalyzeRequest, errs []error, err error) {
+	var req wireBatchRequest
+	if err = json.NewDecoder(bytes.NewReader(body)).Decode(&req); err == nil &&
+		!repeatsTaskSetKey(body, countTaskSets(req.Requests...)) {
+		return req.Requests, nil, nil
+	}
+	var raw struct {
+		Requests []rawAnalyzeRequest `json:"requests"`
+	}
+	if rerr := json.NewDecoder(bytes.NewReader(body)).Decode(&raw); rerr != nil {
+		if err == nil {
+			err = rerr
+		}
+		return nil, nil, err
+	}
+	items = make([]wireAnalyzeRequest, len(raw.Requests))
+	errs = make([]error, len(raw.Requests))
+	for i, r := range raw.Requests {
+		items[i], errs[i] = r.request()
+	}
+	return items, errs, nil
+}
+
+// rawAnalyzeRequest is wireAnalyzeRequest with the task set left
+// undecoded: the two-pass shape decodeAnalyze and decodeBatch fall back
+// to when one pass cannot give a task set its own verdict.
+type rawAnalyzeRequest struct {
+	TaskSet json.RawMessage   `json:"taskset"`
+	Configs []core.WireConfig `json:"configs"`
+}
+
+// request decodes the raw task set on its own.
+func (r *rawAnalyzeRequest) request() (wireAnalyzeRequest, error) {
+	req := wireAnalyzeRequest{Configs: r.Configs}
+	if len(r.TaskSet) > 0 {
+		if err := json.Unmarshal(r.TaskSet, &req.TaskSet); err != nil {
+			return req, fmt.Errorf("decoding taskset: %w", err)
+		}
+	}
+	return req, nil
+}
+
+func countTaskSets(reqs ...wireAnalyzeRequest) int {
+	n := 0
+	for _, r := range reqs {
+		if r.TaskSet != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// repeatsTaskSetKey reports whether body may hold more "taskset" keys
+// than the n task sets one pass decoded. encoding/json decodes a
+// repeated key into the task set the first one allocated, merging the
+// two objects, where the last value alone must count; such a body takes
+// the two-pass path instead. The count matches the key's ASCII case
+// variants after a quote; a backslash or a non-ASCII byte could spell
+// it otherwise (escapes, the Kelvin sign folding to 'k'), so either
+// makes the answer yes.
+func repeatsTaskSetKey(body []byte, n int) bool {
+	if bytes.IndexByte(body, '\\') >= 0 {
+		return true
+	}
+	for _, c := range body {
+		if c >= utf8.RuneSelf {
+			return true
+		}
+	}
+	const key = `taskset"`
+	keys := 0
+	for i := bytes.IndexByte(body, '"'); i >= 0; {
+		rest := body[i+1:]
+		if len(rest) >= len(key) && bytes.EqualFold(rest[:len(key)], []byte(key)) {
+			keys++
+		}
+		j := bytes.IndexByte(rest, '"')
+		if j < 0 {
+			break
+		}
+		i += 1 + j
+	}
+	return keys > n
 }
 
 // wireBatchItem is one outcome of a batch request; exactly one of
@@ -57,13 +167,13 @@ type wireError struct {
 }
 
 // decode turns one wire request into engine inputs, running the full
-// task-set validation (taskmodel.ReadJSON) so every later failure is
-// an engine matter, not malformed input.
+// task-set validation (taskmodel.TaskSetJSON.TaskSet) so every later
+// failure is an engine matter, not malformed input.
 func (r *wireAnalyzeRequest) decode() (*taskmodel.TaskSet, []core.Config, error) {
-	if len(r.TaskSet) == 0 {
+	if r.TaskSet == nil {
 		return nil, nil, fmt.Errorf("missing taskset")
 	}
-	ts, err := taskmodel.ReadJSON(bytes.NewReader(r.TaskSet))
+	ts, err := r.TaskSet.TaskSet()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -233,6 +233,8 @@ const (
 	// StageTimer (stages.go). Quantiles (p50/p95/p99) are estimated
 	// from the log2 buckets via HistSnapshot.Quantile; the taxonomy is
 	// documented in DESIGN.md §13.
+	HistStageDecode
+	HistStageKey
 	HistStageQueue
 	HistStageCache
 	HistStageCoalesce
@@ -250,6 +252,8 @@ const (
 var histNames = [numHists]string{
 	HistOuterRounds:   "analyzer.outer_rounds_per_run",
 	HistInnerIters:    "fp.iterations_per_analysis",
+	HistStageDecode:   "server.stage_decode_us",
+	HistStageKey:      "server.stage_key_us",
 	HistStageQueue:    "server.stage_queue_us",
 	HistStageCache:    "server.stage_cache_us",
 	HistStageCoalesce: "server.stage_coalesce_us",

@@ -12,19 +12,25 @@ import (
 // microseconds) so /metrics can answer "where do requests spend their
 // time" without any per-request state surviving the request.
 
-// Stage is one segment of an analysis request's lifecycle. A request
+// Stage is one segment of an analysis request's lifecycle. Every
+// request that parses passes StageDecode and StageKey; after that it
 // visits a subset of the stages depending on its outcome: a cache hit
 // sees only StageCache, a coalesced follower StageCache+StageCoalesce,
 // a flight leader everything but StageCoalesce.
 type Stage int
 
 const (
+	// StageDecode is reading the request body, parsing it and
+	// validating it into engine inputs (task set, configurations); for
+	// a delta request it includes applying the edits to the base.
+	StageDecode Stage = iota
+	// StageKey is the canonical-key computation (core.CanonicalKey).
+	StageKey
 	// StageQueue is the wait for an engine worker slot after admission
 	// (a ticket was available, the semaphore was not).
-	StageQueue Stage = iota
-	// StageCache is canonical-key computation plus result-cache
-	// lookups and fills, including the leader's post-leadership
-	// double-check.
+	StageQueue
+	// StageCache is result-cache lookups and fills, including the
+	// leader's post-leadership double-check.
 	StageCache
 	// StageCoalesce is a follower's wait for an identical in-flight
 	// request's result.
@@ -45,6 +51,8 @@ const (
 )
 
 var stageNames = [NumStages]string{
+	StageDecode:   "decode",
+	StageKey:      "key",
 	StageQueue:    "queue",
 	StageCache:    "cache",
 	StageCoalesce: "coalesce",
@@ -63,6 +71,10 @@ func (s Stage) String() string {
 // Hist returns the shared histogram the stage's durations flush into.
 func (s Stage) Hist() HistID {
 	switch s {
+	case StageDecode:
+		return HistStageDecode
+	case StageKey:
+		return HistStageKey
 	case StageQueue:
 		return HistStageQueue
 	case StageCache:
