@@ -12,7 +12,6 @@ package cacheset
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -275,13 +274,13 @@ func UnionAll(n int, sets ...Set) Set {
 	return r
 }
 
-// FromSorted builds a set from a sorted or unsorted index slice; it is a
-// convenience for table-driven tests and JSON decoding.
+// FromSorted builds a set of capacity n from an index slice in any
+// order, duplicates allowed: adding to a bitset does not depend on
+// order, so the slice is read as it is and never modified. It is how
+// JSON decoding and table-driven tests build sets.
 func FromSorted(n int, idx []int) Set {
 	s := New(n)
-	sorted := append([]int(nil), idx...)
-	sort.Ints(sorted)
-	for _, i := range sorted {
+	for _, i := range idx {
 		s.Add(i)
 	}
 	return s

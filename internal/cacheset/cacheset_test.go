@@ -3,6 +3,7 @@ package cacheset
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -186,9 +187,22 @@ func TestUnionAll(t *testing.T) {
 }
 
 func TestFromSorted(t *testing.T) {
-	s := FromSorted(16, []int{9, 3, 3, 1})
-	if got, want := s.Indices(), []int{1, 3, 9}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("FromSorted = %v, want %v", got, want)
+	// Unsorted input with duplicates, within one word and across a word
+	// boundary; the input slice must be left as it was.
+	for _, c := range []struct {
+		n        int
+		idx, set []int
+	}{
+		{16, []int{9, 3, 3, 1}, []int{1, 3, 9}},
+		{65, []int{64, 0, 64, 63}, []int{0, 63, 64}},
+	} {
+		idx := slices.Clone(c.idx)
+		if got := FromSorted(c.n, idx).Indices(); !reflect.DeepEqual(got, c.set) {
+			t.Fatalf("FromSorted(%d, %v) = %v, want %v", c.n, c.idx, got, c.set)
+		}
+		if !slices.Equal(idx, c.idx) {
+			t.Fatalf("FromSorted(%d, %v) modified its input to %v", c.n, c.idx, idx)
+		}
 	}
 }
 

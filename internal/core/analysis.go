@@ -316,6 +316,12 @@ func (a *Analyzer) ResponseTime(i int) (taskmodel.Time, bool) {
 		// Nothing can be proven about a priority outside the set.
 		return 0, false
 	}
+	return a.analyzeTask(ii)
+}
+
+// analyzeTask is ResponseTime for the task at table index ii, with its
+// telemetry; Run calls it directly, by the index it iterates with.
+func (a *Analyzer) analyzeTask(ii int) (taskmodel.Time, bool) {
 	obs := a.obs
 	if obs == nil {
 		r, ok, _, _ := a.responseTime(ii, nil)
@@ -331,7 +337,7 @@ func (a *Analyzer) ResponseTime(i int) (taskmodel.Time, bool) {
 	obs.Add(telemetry.CtrBreakpointJumps, jumps)
 	obs.Observe(telemetry.HistInnerIters, iters)
 	if obs.Tracing() {
-		sp.EndArgs(map[string]any{"prio": i, "wcrt": int64(r), "converged": ok, "iterations": iters})
+		sp.EndArgs(map[string]any{"prio": a.tab.tasks[ii].Priority, "wcrt": int64(r), "converged": ok, "iterations": iters})
 	}
 	return r, ok
 }
@@ -500,7 +506,7 @@ func (a *Analyzer) run() *Result {
 				continue
 			}
 			dirty[idx] = false
-			r, ok := a.ResponseTime(t.Priority)
+			r, ok := a.analyzeTask(idx)
 			if !ok {
 				a.R[t.Priority] = r
 				a.rd[idx] = r
@@ -539,13 +545,14 @@ func (a *Analyzer) run() *Result {
 // read R[idx]: tasks on other cores, plus same-core lower-priority
 // tasks as a conservative margin.
 func (a *Analyzer) markDependents(idx int, dirty []bool) {
-	tl := a.TS.Tasks[idx]
-	for j, t := range a.TS.Tasks {
-		if j == idx {
-			continue
-		}
-		if t.Core != tl.Core || t.Priority > tl.Priority {
-			dirty[j] = true
+	// The per-core index columns are priority-ascending like the table,
+	// so a same-core task of lower priority is one with a larger index.
+	own := a.tab.tasks[idx].Core
+	for y, idxs := range a.tab.coreIdx {
+		for _, j := range idxs {
+			if y != own || int(j) > idx {
+				dirty[j] = true
+			}
 		}
 	}
 }

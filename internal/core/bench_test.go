@@ -303,3 +303,30 @@ func BenchmarkCanonicalKey(b *testing.B) {
 
 // keySink keeps the compiler from dropping a benchmarked key.
 var keySink string
+
+// BenchmarkFixedPoint is the per-task fixed point (L2) alone: the
+// edit-shape set under FP-CP over tables whose columns and backbones
+// the untimed first call materialized, so an op is cursor resets and
+// inner iterations for every task of the outer loop. iterations/op
+// and jumps/op are that call's inner iterates and breakpoint jumps.
+func BenchmarkFixedPoint(b *testing.B) {
+	ts := deltaSweepSet(b)
+	cfg := Config{Arbiter: FP, Persistence: true}
+	tbl := precomputeTables(ts, cfg.CRPD)
+	var sc analysisScratch
+	run := func(obs *telemetry.Observer) {
+		a := newAnalyzerChecked(ts, cfg, tbl)
+		a.obs = obs
+		a.fps = sc.takeFPS(len(ts.Tasks))
+		a.rd = sc.takeRD(len(ts.Tasks))
+		a.Run()
+	}
+	obs := telemetry.New()
+	run(obs) // materializes the tables and counts one op's iterates
+	benchOp(b, func() error {
+		run(nil)
+		return nil
+	})
+	b.ReportMetric(float64(obs.Metrics.Get(telemetry.CtrInnerIterations)), "iterations/op")
+	b.ReportMetric(float64(obs.Metrics.Get(telemetry.CtrBreakpointJumps)), "jumps/op")
+}

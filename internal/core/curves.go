@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 
 	"repro/internal/persistence"
@@ -213,10 +214,9 @@ type remoteCursor struct {
 	// BAO_low sum (FP blocking) over the BAO sum.
 	core int32
 	low  bool
-	// idx/prio identify the interfering task for fpRemote — kept on the
-	// cursor because shared backbones carry no task identity.
-	idx  int32
-	prio int32
+	// idx is the interfering task's table index for fpRemote — kept on
+	// the cursor because shared backbones carry no task identity.
+	idx int32
 }
 
 // fpState is one analyzed task's cursor state, kept per level for the
@@ -316,7 +316,7 @@ func (a *Analyzer) evictorBreak(tc *termCurve, t, next taskmodel.Time) taskmodel
 // BAS summand (matching the oracle's BAS exactly) and the next
 // breakpoint.
 func (a *Analyzer) sameEval(tc *termCurve, t taskmodel.Time) (procVal taskmodel.Time, basVal int64, next taskmodel.Time) {
-	e := ceilDiv(int64(t), int64(tc.period))
+	e := releasesBy(int64(t), int64(tc.period))
 	procVal = taskmodel.Time(e) * tc.pd
 	if a.Cfg.Persistence {
 		basVal = a.persistentDemandCurve(tc, e, t) + e*tc.gamma
@@ -341,37 +341,21 @@ func (a *Analyzer) remoteEval(tc *termCurve, c int64, t taskmodel.Time) (val int
 	dmem := int64(a.TS.Platform.DMem)
 	period := int64(tc.period)
 	num := int64(t) + c
-	n := floorDiv(num, period)
-	if n < 0 {
-		n = 0
-	}
+	n := releasedJobs(num, period)
 	var w int64
 	if a.Cfg.Persistence {
 		w = a.persistentDemandCurve(tc, n, t) + n*tc.gamma
 	} else {
 		w = n * (tc.md + tc.gamma)
 	}
-	wcCap := tc.md + tc.gamma
 	rem := num - n*period
-	wcRaw := ceilDiv(rem, dmem)
-	wc := wcRaw
-	if wc < 0 {
-		wc = 0
-	} else if wc > wcCap {
-		wc = wcCap
-	}
+	wc, remNext := carryOut(rem, dmem, tc.md+tc.gamma)
 	val = w + wc
 
 	// Next job-release step of the (clamped) n.
 	next = taskmodel.Time((n+1)*period - c)
-	// Next carry-out ramp step, unless the ramp is saturated: the
-	// ceiling over rem advances at rem = wcRaw·d_mem + 1, or first
-	// turns positive at rem = 1.
-	if wcRaw < wcCap {
-		remNext := int64(1)
-		if wcRaw > 0 {
-			remNext = wcRaw*dmem + 1
-		}
+	// Next carry-out ramp step, unless the ramp is saturated.
+	if remNext > 0 {
 		if bp := t + taskmodel.Time(remNext-rem); bp < next {
 			next = bp
 		}
@@ -383,13 +367,79 @@ func (a *Analyzer) remoteEval(tc *termCurve, c int64, t taskmodel.Time) (val int
 	return val, next
 }
 
+// The three functions below are the kernel's integer divisions with
+// their common cases decided by comparison (DESIGN.md §7, "Division-free
+// breakpoints"). Each returns exactly what its floorDiv/ceilDiv
+// definition returns, and no comparison can wrap where that division
+// did not; TestKernelFastPathsMatchDivision holds each to its division.
+
+// releasesBy is ⌈t/T⌉ for T > 0, the number of releases of a same-core
+// task in a window of length t. A window no longer than one period —
+// the common case on paper-shaped sets — holds exactly one.
+func releasesBy(t, period int64) int64 {
+	if t > 0 {
+		if t <= period {
+			return 1
+		}
+		return (t-1)/period + 1
+	}
+	return ceilDiv(t, period)
+}
+
+// releasedJobs is max(0, ⌊num/T⌋) for T > 0, the clamped job count n
+// of Eq. (6). Below one period it is 0 and below two it is 1; num−T
+// cannot wrap once num ≥ T > 0.
+func releasedJobs(num, period int64) int64 {
+	if num < period {
+		return 0
+	}
+	if num-period < period {
+		return 1
+	}
+	return num / period
+}
+
+// carryOut is the carry-out ramp of Eq. (5) at offset rem past the last
+// full job: wc = ⌈rem/d_mem⌉ clamped to [0, wcCap], and the offset at
+// which that value next steps, remNext, or 0 once the ramp is saturated
+// (the ceiling has reached wcCap). The ceiling advances at
+// rem = wc·d_mem + 1, and first turns positive at rem = 1. wcCap ≥ 0
+// and d_mem ≥ 1 (validated MD, γ and platform).
+func carryOut(rem, dmem, wcCap int64) (wc, remNext int64) {
+	if rem <= 0 {
+		// The ceiling is ≤ 0 and clamps to 0; it lies below the cap
+		// unless the cap is 0 and the ceiling is exactly 0.
+		if wcCap > 0 || rem <= -dmem {
+			return 0, 1
+		}
+		return 0, 0
+	}
+	if rampSaturated(rem, dmem, wcCap) {
+		return wcCap, 0
+	}
+	wc = (rem-1)/dmem + 1
+	return wc, wc*dmem + 1
+}
+
+// rampSaturated reports ⌈rem/d_mem⌉ ≥ wcCap for rem > 0, that is
+// rem > (wcCap−1)·d_mem. The product is taken in 128 bits: a product at
+// or above 2⁶³ exceeds every rem, where a 64-bit one would wrap.
+func rampSaturated(rem, dmem, wcCap int64) bool {
+	if wcCap <= 0 {
+		return true
+	}
+	hi, lo := bits.Mul64(uint64(wcCap-1), uint64(dmem))
+	return hi == 0 && lo < uint64(rem)
+}
+
 // fpRemote reads the current remote estimate feeding one remote
-// cursor: the dense mirror while Run is live, the public map otherwise.
+// cursor: the dense mirror while Run is live, the public map (keyed by
+// the task's priority) otherwise.
 func (a *Analyzer) fpRemote(cur *remoteCursor) taskmodel.Time {
 	if a.rdLive {
 		return a.rd[cur.idx]
 	}
-	return a.R[int(cur.prio)]
+	return a.R[a.tab.tasks[cur.idx].Priority]
 }
 
 // fpReset prepares the cursors for the priority-level row ii at the
@@ -510,8 +560,7 @@ func (a *Analyzer) fpReset(ii int, core int, r taskmodel.Time) {
 		for k := range terms {
 			tc := &terms[k]
 			jj := idxs[k]
-			cur := remoteCursor{tc: tc, core: int32(y), low: low,
-				idx: jj, prio: int32(a.tab.tasks[jj].Priority)}
+			cur := remoteCursor{tc: tc, core: int32(y), low: low, idx: jj}
 			cur.c = int64(a.fpRemote(&cur)) - (tc.md+tc.gamma)*dmem
 			val, next := a.remoteEval(tc, cur.c, r)
 			cur.val, cur.next = val, next
@@ -529,8 +578,9 @@ func (a *Analyzer) fpReset(ii int, core int, r taskmodel.Time) {
 	level := ii
 	if a.Cfg.Arbiter != FP {
 		// RR, Regulated and ParAware all read remote demand at the
-		// lowest priority level.
-		level = a.tab.prioIdx[a.TS.LowestPriority()]
+		// lowest priority level, the last of the priority-ascending
+		// table.
+		level = len(a.tab.tasks) - 1
 	}
 	for y := 0; y < m; y++ {
 		if y == core {

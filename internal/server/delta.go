@@ -357,9 +357,6 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		ri.forceVerdict("delta")
 	}
 	tm := ri.stageTimer().Now()
-	s.writeJSON(w, http.StatusOK, wireDeltaResponse{
-		Key: oc.key, BaseKey: req.BaseKey,
-		Cached: oc.cached, Coalesced: oc.coalesced, Results: oc.raw,
-	})
+	writeAppended(w, func(b []byte) []byte { return appendEnvelope(b, oc, req.BaseKey) })
 	ri.stageTimer().AddSince(telemetry.StageMarshal, tm)
 }

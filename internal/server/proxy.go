@@ -25,9 +25,10 @@ import (
 //     local compute and marks the verdict "degraded" — node loss
 //     costs latency and cache locality, not availability.
 //   - Edge fill: a successfully relayed /v1/analyze envelope is
-//     parsed and its result bytes stored in the local cache (and the
-//     decoded inputs in the local base registry), so repeat traffic
-//     for a remote key turns into local cache hits.
+//     parsed and its result bytes, normalized to the encoder's output
+//     form, stored in the local cache (and the decoded inputs in the
+//     local base registry), so repeat traffic for a remote key turns
+//     into local cache hits.
 //
 // Accounting: a successfully proxied request counts only
 // server.peer_proxied at the edge — the owner counts it as
@@ -54,13 +55,6 @@ func (s *Server) routeRemotely(r *http.Request, key string) bool {
 	return true
 }
 
-// relay writes a peer's verbatim response to the client.
-func relay(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
 // peerDegrade accounts one failed proxy attempt on the way to local
 // compute. err is nil when the peer answered with a failure status.
 func (s *Server) peerDegrade() {
@@ -81,17 +75,20 @@ func (s *Server) proxyAnalyze(w http.ResponseWriter, r *http.Request, ri *reqInf
 		return false
 	}
 	s.obs.Add(telemetry.CtrServerPeerProxied, 1)
-	// Edge fill: keep the relayed result bytes so the next duplicate of
-	// this key is a local cache hit, and register the decoded inputs so
-	// deltas against this base resolve locally too.
+	// Edge fill: keep the relayed result bytes, normalized to the
+	// encoder's output form like every cached value, so the next
+	// duplicate of this key is a local cache hit; and register the
+	// decoded inputs so deltas against this base resolve locally too.
 	var env wireAnalyzeResponse
 	if json.Unmarshal(respBody, &env) == nil && env.Key == key && len(env.Results) > 0 {
-		s.cache.put(key, env.Results)
-		s.bases.put(key, ts, cfgs)
-		s.obs.Add(telemetry.CtrServerPeerHits, 1)
+		if raw, err := normalizeResults(env.Results); err == nil {
+			s.cache.put(key, raw)
+			s.bases.put(key, ts, cfgs)
+			s.obs.Add(telemetry.CtrServerPeerHits, 1)
+		}
 	}
 	ri.setVerdict("proxied")
-	relay(w, status, respBody)
+	writeBody(w, status, respBody)
 	return true
 }
 
@@ -117,10 +114,14 @@ func (s *Server) proxyBatchItem(r *http.Request, ri *reqInfo, key string, ts *ta
 		return wireBatchItem{}, false
 	}
 	s.obs.Add(telemetry.CtrServerPeerProxied, 1)
+	// Edge fill, normalized like every cached value; the batch envelope
+	// itself goes through writeJSON, which compacts the item's bytes.
 	if len(env.Results) > 0 {
-		s.cache.put(key, env.Results)
-		s.bases.put(key, ts, cfgs)
-		s.obs.Add(telemetry.CtrServerPeerHits, 1)
+		if raw, err := normalizeResults(env.Results); err == nil {
+			s.cache.put(key, raw)
+			s.bases.put(key, ts, cfgs)
+			s.obs.Add(telemetry.CtrServerPeerHits, 1)
+		}
 	}
 	ri.setVerdict("proxied")
 	return wireBatchItem{
@@ -147,10 +148,12 @@ func (s *Server) proxyDelta(w http.ResponseWriter, r *http.Request, ri *reqInfo,
 	// names; the inputs stay unregistered here (the owner has them).
 	var env wireDeltaResponse
 	if json.Unmarshal(respBody, &env) == nil && env.Key != "" && len(env.Results) > 0 {
-		s.cache.put(env.Key, env.Results)
-		s.obs.Add(telemetry.CtrServerPeerHits, 1)
+		if raw, err := normalizeResults(env.Results); err == nil {
+			s.cache.put(env.Key, raw)
+			s.obs.Add(telemetry.CtrServerPeerHits, 1)
+		}
 	}
 	ri.setVerdict("proxied")
-	relay(w, status, respBody)
+	writeBody(w, status, respBody)
 	return true
 }

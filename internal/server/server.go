@@ -430,11 +430,8 @@ func (s *Server) compute(ri *reqInfo, key string, ts *taskmodel.TaskSet, cfgs []
 		return nil, fmt.Errorf("server: analysis produced no result")
 	}
 	tm := st.Now()
-	raw, merr := json.Marshal(out[0])
+	raw = encodeResults(out[0])
 	st.AddSince(telemetry.StageMarshal, tm)
-	if merr != nil {
-		return nil, merr
-	}
 	// The cache fill is cache time, not marshal time — conflating the
 	// two would hide a contended or oversized cache inside the marshal
 	// histogram.
@@ -457,6 +454,14 @@ func statusOf(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
+}
+
+// writeBody writes a finished JSON body: an envelope appended from
+// cached bytes, or a peer's verbatim response.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -527,9 +532,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		ri.forceVerdict("degraded")
 	}
 	tm := ri.stageTimer().Now()
-	s.writeJSON(w, http.StatusOK, wireAnalyzeResponse{
-		Key: oc.key, Cached: oc.cached, Coalesced: oc.coalesced, Results: oc.raw,
-	})
+	writeAppended(w, func(b []byte) []byte { return appendEnvelope(b, oc, "") })
 	ri.stageTimer().AddSince(telemetry.StageMarshal, tm)
 }
 
