@@ -50,10 +50,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	workers := fs.Int("workers", 0, "concurrent engine invocations (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "requests allowed to wait for a worker before shedding (0 = 2x workers, negative = none)")
-	cacheEntries := fs.Int("cache-entries", 0, "result cache capacity (0 = 1024, negative = disable caching)")
-	cacheTTL := fs.Duration("cache-ttl", 0, "result cache entry lifetime (0 = no expiry)")
+	cacheEntries := fs.Int("cache-entries", 0, "request store capacity: cached results and delta bases (0 = 1024, negative = disable caching and /v1/analyze/delta)")
 	memoEntries := fs.Int("memo-entries", 0, "engine table-memo capacity in columns (0 = 4096, negative = disable memoization)")
-	baseEntries := fs.Int("base-entries", 0, "delta base registry capacity (0 = 1024, negative = disable /v1/analyze/delta)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline while queued (0 = none)")
 	peers := fs.String("peers", "", "comma-separated fleet member addresses (host:port or http:// URLs); enables shard-owner request routing")
 	self := fs.String("self", "", "this node's address within -peers (default: -addr; required when -addr binds port 0)")
@@ -129,9 +127,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		Workers:         *workers,
 		QueueDepth:      *queue,
 		CacheEntries:    *cacheEntries,
-		CacheTTL:        *cacheTTL,
 		MemoEntries:     *memoEntries,
-		BaseEntries:     *baseEntries,
 		RequestTimeout:  *timeout,
 		Observer:        obs,
 		AccessLog:       accessW,

@@ -71,17 +71,17 @@ func snapshotCurves(store *MemoStore) map[memoKey][]termCurve {
 	for i := range store.shards {
 		sh := &store.shards[i]
 		sh.mu.Lock()
-		for key, el := range sh.byKey {
-			col, ok := el.Value.(*memoEntry).val.(*curveColumn)
+		sh.entries.Each(func(key memoKey, ent *memoEntry) {
+			col, ok := ent.val.(*curveColumn)
 			if !ok {
-				continue
+				return
 			}
 			terms := append([]termCurve(nil), col.terms...)
 			for k := range terms {
 				terms[k].evictors = append([]persistence.EvictorTerm(nil), terms[k].evictors...)
 			}
 			out[key] = terms
-		}
+		})
 		sh.mu.Unlock()
 	}
 	return out

@@ -330,3 +330,31 @@ func BenchmarkFixedPoint(b *testing.B) {
 	b.ReportMetric(float64(obs.Metrics.Get(telemetry.CtrInnerIterations)), "iterations/op")
 	b.ReportMetric(float64(obs.Metrics.Get(telemetry.CtrBreakpointJumps)), "jumps/op")
 }
+
+// BenchmarkMemoStore is the store's own bookkeeping, without any
+// column work: "hit" reads resident keys from shards above half full,
+// so every hit moves its entry to the front; "miss" cycles through
+// twice the capacity, so every call inserts an entry and evicts the
+// coldest. Both are on the memo path of every memo-attached analysis.
+func BenchmarkMemoStore(b *testing.B) {
+	const capacity = 4096
+	keys := make([]memoKey, 2*capacity)
+	for i := range keys {
+		keys[i][0], keys[i][1], keys[i][2] = byte(i), byte(i>>8), byte(i>>16)
+	}
+	val := &memoColumn{}
+	compute := func() any { return val }
+	run := func(b *testing.B, keys []memoKey) {
+		store := NewMemoStore(capacity)
+		for _, k := range keys {
+			store.getOrCompute(k, columnCounters, nil, compute)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			store.getOrCompute(keys[i%len(keys)], columnCounters, nil, compute)
+		}
+	}
+	b.Run("hit", func(b *testing.B) { run(b, keys[:capacity*3/4]) })
+	b.Run("miss", func(b *testing.B) { run(b, keys) })
+}

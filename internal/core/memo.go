@@ -1,12 +1,12 @@
 package core
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/crpd"
+	"repro/internal/lru"
 	"repro/internal/telemetry"
 )
 
@@ -112,7 +112,6 @@ var (
 const memoShards = 16
 
 type memoEntry struct {
-	key memoKey
 	// val is valid only after done is closed; nil then means the
 	// leader's compute failed and the entry was withdrawn. It holds a
 	// *memoColumn or a *curveColumn; ctrs attributes the entry's
@@ -128,9 +127,8 @@ type memoEntry struct {
 }
 
 type memoShard struct {
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	byKey map[memoKey]*list.Element
+	mu      sync.Mutex
+	entries *lru.LRU[memoKey, *memoEntry]
 }
 
 // MemoStore is a bounded, sharded, concurrency-safe store of
@@ -156,8 +154,7 @@ func NewMemoStore(maxEntries int) *MemoStore {
 	}
 	m := &MemoStore{perCap: perCap}
 	for i := range m.shards {
-		m.shards[i].ll = list.New()
-		m.shards[i].byKey = make(map[memoKey]*list.Element)
+		m.shards[i].entries = lru.New[memoKey, *memoEntry](perCap)
 	}
 	return m
 }
@@ -172,14 +169,17 @@ func NewMemoStore(maxEntries int) *MemoStore {
 func (m *MemoStore) getOrCompute(key memoKey, ctrs *memoCounterSet, obs *telemetry.Observer, compute func() any) any {
 	sh := &m.shards[key[0]&(memoShards-1)]
 	sh.mu.Lock()
-	if ele, ok := sh.byKey[key]; ok {
-		ent := ele.Value.(*memoEntry)
-		// LRU order only matters once the shard is under capacity
-		// pressure; below half-full every entry survives regardless, so
-		// the list shuffle is pure overhead on the hot hit path.
-		if sh.ll.Len()*2 > m.perCap {
-			sh.ll.MoveToFront(ele)
-		}
+	// LRU order only matters once the shard is under capacity pressure;
+	// below half-full every entry survives regardless, so the list
+	// shuffle is pure overhead on the hot hit path.
+	var ent *memoEntry
+	var ok bool
+	if sh.entries.Len()*2 > m.perCap {
+		ent, ok = sh.entries.Get(key)
+	} else {
+		ent, ok = sh.entries.Peek(key)
+	}
+	if ok {
 		sh.mu.Unlock()
 		if ent.ready.Load() {
 			obs.Add(ctrs.hits, 1)
@@ -200,17 +200,8 @@ func (m *MemoStore) getOrCompute(key memoKey, ctrs *memoCounterSet, obs *telemet
 		obs.Add(ctrs.misses, 1)
 		return compute()
 	}
-	ent := &memoEntry{key: key, ctrs: ctrs, done: make(chan struct{})}
-	ele := sh.ll.PushFront(ent)
-	sh.byKey[key] = ele
-	for sh.ll.Len() > m.perCap {
-		tail := sh.ll.Back()
-		if tail == ele {
-			break
-		}
-		dropped := tail.Value.(*memoEntry)
-		sh.ll.Remove(tail)
-		delete(sh.byKey, dropped.key)
+	ent = &memoEntry{ctrs: ctrs, done: make(chan struct{})}
+	if dropped, evicted := sh.entries.Add(key, ent); evicted {
 		obs.Add(dropped.ctrs.evictions, 1)
 	}
 	sh.mu.Unlock()
@@ -227,9 +218,8 @@ func (m *MemoStore) getOrCompute(key memoKey, ctrs *memoCounterSet, obs *telemet
 		}
 		if val == nil {
 			sh.mu.Lock()
-			if cur, ok := sh.byKey[key]; ok && cur.Value.(*memoEntry) == ent {
-				sh.ll.Remove(cur)
-				delete(sh.byKey, key)
+			if cur, ok := sh.entries.Peek(key); ok && cur == ent {
+				sh.entries.Remove(key)
 			}
 			sh.mu.Unlock()
 		}
@@ -270,7 +260,7 @@ func (m *MemoStore) Len() int {
 	for i := range m.shards {
 		sh := &m.shards[i]
 		sh.mu.Lock()
-		n += sh.ll.Len()
+		n += sh.entries.Len()
 		sh.mu.Unlock()
 	}
 	return n

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -135,10 +136,11 @@ func TestFollowerTimeoutCountsAsTimeoutNotCoalesce(t *testing.T) {
 	<-leaderDone
 }
 
-// TestShedRequestLeavesBaseRegistryUntouched pins the satellite fix:
-// a request becomes addressable as a delta base only once it resolves.
-// Registering at admission time would let a flood of shed requests
-// churn the registry and evict bases that were actually analyzed.
+// TestShedRequestLeavesBaseRegistryUntouched pins that a request
+// enters the request store, and so becomes addressable as a delta
+// base, only once it resolves. Storing it at admission time would let
+// a flood of shed requests churn the store and evict bases that were
+// actually analyzed.
 func TestShedRequestLeavesBaseRegistryUntouched(t *testing.T) {
 	release := make(chan struct{})
 	core.SetBatchFaultHook(func(label string, attempt int) { <-release })
@@ -169,50 +171,55 @@ func TestShedRequestLeavesBaseRegistryUntouched(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// A is mid-flight: not registered yet.
-	if got := srv.bases.len(); got != 0 {
-		t.Errorf("base registry holds %d entries while the only request is unresolved, want 0", got)
+	// A is mid-flight: not stored yet.
+	if got := srv.store.len(); got != 0 {
+		t.Errorf("store holds %d entries while the only request is unresolved, want 0", got)
 	}
 
 	resp, data := postAnalyze(t, hs.URL, bodyB)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overload request: status %d, want 429\n%s", resp.StatusCode, data)
 	}
-	if got := srv.bases.len(); got != 0 {
-		t.Errorf("shed request registered a delta base: registry len %d, want 0", got)
+	if got := srv.store.len(); got != 0 {
+		t.Errorf("shed request stored a delta base: store len %d, want 0", got)
 	}
 
 	close(release)
 	<-done
-	if got := srv.bases.len(); got != 1 {
-		t.Errorf("resolved request not registered: registry len %d, want 1", got)
+	if got := srv.store.len(); got != 1 {
+		t.Errorf("resolved request not stored: store len %d, want 1", got)
 	}
-	// The cached replay re-registers the same key — no duplicate entry.
+	if e, _ := srv.store.get(keyOfBody(t, bodyA), nil, nil); e.ts == nil {
+		t.Error("resolved request stored without its inputs: not a delta base")
+	}
+	// The cached replay touches the same key — no duplicate entry.
 	if resp, data := postAnalyze(t, hs.URL, bodyA); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cached replay: status %d\n%s", resp.StatusCode, data)
 	}
-	if got := srv.bases.len(); got != 1 {
-		t.Errorf("cached replay duplicated the base: registry len %d, want 1", got)
+	if got := srv.store.len(); got != 1 {
+		t.Errorf("cached replay duplicated the base: store len %d, want 1", got)
 	}
 	_ = data
 }
 
-// TestCacheFillChargedToCacheStage pins the stage-accounting satellite:
-// the post-marshal cache fill is cache time, not marshal time. The TTL
-// clock (Options.Now) is the only seam inside resultCache.put, so a
-// deliberately slow clock makes a mischarged fill show up as an
-// implausibly fat marshal stage.
+// TestCacheFillChargedToCacheStage pins that the post-marshal store
+// fill is cache time, not marshal time. The engine's fault hook takes
+// the store's mutex and a timer releases it a stall later, so the fill
+// that follows the engine waits on the lock; charged to the wrong stage,
+// that wait shows up as an implausibly fat marshal stage.
 func TestCacheFillChargedToCacheStage(t *testing.T) {
 	const stall = 30 * time.Millisecond
 	var logw syncWriter
-	hs := httptest.NewServer(New(Options{
-		AccessLog: &logw,
-		CacheTTL:  time.Hour,
-		Now: func() time.Time {
-			time.Sleep(stall)
-			return time.Now()
-		},
-	}).Handler())
+	srv := New(Options{AccessLog: &logw})
+	var once sync.Once
+	core.SetBatchFaultHook(func(label string, attempt int) {
+		once.Do(func() {
+			srv.store.mu.Lock()
+			time.AfterFunc(stall, srv.store.mu.Unlock)
+		})
+	})
+	defer core.SetBatchFaultHook(nil)
+	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
 	resp, data := postAnalyze(t, hs.URL, requestBody(t, fixtures.Fig1TaskSet(), paperConfigs[:1]))
@@ -224,9 +231,8 @@ func TestCacheFillChargedToCacheStage(t *testing.T) {
 	if err := json.Unmarshal([]byte(line), &fresh); err != nil {
 		t.Fatalf("access line not JSON: %v\n%s", err, line)
 	}
-	// One clock read happens inside cache.put (the TTL stamp); its stall
-	// must land in the cache stage, leaving marshal with only the actual
-	// serialization and response write.
+	// The fill's wait for the lock must land in the cache stage, leaving
+	// marshal with only the actual serialization and response write.
 	margin := (stall - 5*time.Millisecond).Microseconds()
 	if fresh.Stages["cache"] < margin {
 		t.Errorf("stage.cache_us = %d, want >= %d (cache fill not charged to the cache stage)",

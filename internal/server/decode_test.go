@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -21,8 +22,9 @@ import (
 // twoPassRequest and twoPassTaskSet are the reference the one-pass
 // decode must agree with: the envelope with the task set as raw bytes,
 // then the task set alone through a reflection decode of plain []int
-// index lists, then the same checks — index ranges, platform,
-// TaskSet.Validate, the configurations and Config.ValidateFor.
+// index lists, then the same checks — platform, the bitset-memory
+// bound, index ranges, TaskSet.Validate, the configurations and
+// Config.ValidateFor.
 type twoPassRequest struct {
 	TaskSet json.RawMessage   `json:"taskset"`
 	Configs []core.WireConfig `json:"configs"`
@@ -62,6 +64,9 @@ func twoPassDecode(body []byte) (*taskmodel.TaskSet, []core.Config, error) {
 		return nil, nil, err
 	}
 	n := p.Cache.NumSets
+	if err := checkSetBytes(n, len(in.Tasks)); err != nil {
+		return nil, nil, err
+	}
 	tasks := make([]*taskmodel.Task, 0, len(in.Tasks))
 	for _, tj := range in.Tasks {
 		for _, idx := range [][]int{tj.UCB, tj.ECB, tj.PCB} {
@@ -144,6 +149,8 @@ func wireDecodeSeeds(tb testing.TB) []string {
 		`{"taskset":` + taskset + `,"taskset":{"tasks":[]},"configs":[{"arbiter":"fp"}]}`,
 		"{\"taskset\":" + taskset + ",\"taſkset\":{\"tasks\":[]},\"configs\":[{\"arbiter\":\"fp\"}]}",
 		`{not json`, ``, `null`, `[]`,
+		// Cache sets past the body limit: rejected before allocation.
+		strings.Replace(valid, `"NumSets":16`, `"NumSets":1099511627776`, 1),
 	}
 }
 
@@ -301,8 +308,60 @@ func TestOversizedBodyRejected(t *testing.T) {
 	if n := obs.Metrics.Get(telemetry.CtrServerRequests); n != 0 {
 		t.Errorf("server.requests = %d, want 0", n)
 	}
-	if n := srv.bases.len(); n != 0 {
-		t.Errorf("%d bases registered, want 0", n)
+	if n := srv.store.len(); n != 0 {
+		t.Errorf("%d requests stored, want 0", n)
+	}
+}
+
+// TestOversizedNumSetsRejected: a task set whose cache sets would
+// outweigh the body limit is answered 400 naming NumSets before any set
+// is allocated, on /v1/analyze and on a batch item; the other items of
+// the batch still resolve.
+func TestOversizedNumSetsRejected(t *testing.T) {
+	huge := taskmodel.NewTaskSetJSON(fixtures.Fig1TaskSet())
+	huge.Platform.Cache.NumSets = 1 << 40
+	item := wireAnalyzeRequest{TaskSet: huge, Configs: []core.WireConfig{{Arbiter: "fp"}}}
+	analyzeBody, err := json.Marshal(item)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := wireAnalyzeRequest{TaskSet: taskmodel.NewTaskSetJSON(fixtures.Fig1TaskSet()), Configs: item.Configs}
+	batchBody, err := json.Marshal(wireBatchRequest{Requests: []wireAnalyzeRequest{item, ok}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(Options{}).Handler()
+	serve := func(path string, body []byte) (*httptest.ResponseRecorder, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		return rec, after.TotalAlloc - before.TotalAlloc
+	}
+	const maxAlloc = 4 << 20
+
+	rec, alloc := serve("/v1/analyze", analyzeBody)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "NumSets") {
+		t.Errorf("/v1/analyze: %d %s, want 400 naming NumSets", rec.Code, rec.Body.Bytes())
+	}
+	if alloc > maxAlloc {
+		t.Errorf("/v1/analyze allocated %d bytes rejecting the task set, want < %d", alloc, maxAlloc)
+	}
+
+	rec, alloc = serve("/v1/analyze/batch", batchBody)
+	var out wireBatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusOK || err != nil || len(out.Results) != 2 {
+		t.Fatalf("batch: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	if it := out.Results[0]; it.Status != http.StatusBadRequest || !strings.Contains(it.Error, "NumSets") {
+		t.Errorf("batch item 0: status %d error %q, want 400 naming NumSets", it.Status, it.Error)
+	}
+	if it := out.Results[1]; it.Error != "" {
+		t.Errorf("batch item 1 failed: %s", it.Error)
+	}
+	if alloc > maxAlloc {
+		t.Errorf("batch allocated %d bytes, want < %d", alloc, maxAlloc)
 	}
 }
 

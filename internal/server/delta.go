@@ -1,12 +1,10 @@
 package server
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 
 	"repro/internal/cacheset"
 	"repro/internal/cluster"
@@ -36,69 +34,12 @@ import (
 // the full edited request to /v1/analyze — same canonical key, same
 // cache, same coalescing. The speedup comes from the engine's
 // content-addressed memo store (core.MemoStore): table columns whose
-// inputs the edit did not touch are reused, not recomputed. Each delta
-// response's key is itself registered as a base, so sweeps can chain
-// edits step over step.
-
-// baseRegistry remembers the decoded inputs of recently analyzed
-// requests by canonical key, so deltas can be resolved without the
-// client re-sending the task set. Bounded LRU; losing an entry only
-// costs a 404 telling the client to re-POST the full request.
-type baseRegistry struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used
-	byKey map[string]*list.Element
-}
-
-type baseEntry struct {
-	key  string
-	ts   *taskmodel.TaskSet
-	cfgs []core.Config
-}
-
-func newBaseRegistry(max int) *baseRegistry {
-	return &baseRegistry{max: max, ll: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-func (r *baseRegistry) put(key string, ts *taskmodel.TaskSet, cfgs []core.Config) {
-	if r.max == 0 {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ele, ok := r.byKey[key]; ok {
-		r.ll.MoveToFront(ele)
-		return
-	}
-	r.byKey[key] = r.ll.PushFront(&baseEntry{key: key, ts: ts, cfgs: cfgs})
-	for r.ll.Len() > r.max {
-		tail := r.ll.Back()
-		r.ll.Remove(tail)
-		delete(r.byKey, tail.Value.(*baseEntry).key)
-	}
-}
-
-func (r *baseRegistry) get(key string) (*taskmodel.TaskSet, []core.Config, bool) {
-	if r.max == 0 {
-		return nil, nil, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ele, ok := r.byKey[key]
-	if !ok {
-		return nil, nil, false
-	}
-	r.ll.MoveToFront(ele)
-	ent := ele.Value.(*baseEntry)
-	return ent.ts, ent.cfgs, true
-}
-
-func (r *baseRegistry) len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ll.Len()
-}
+// inputs the edit did not touch are reused, not recomputed. The base's
+// inputs come from the server's request store, which keeps them beside
+// the results of every request this node decoded; losing an entry to
+// capacity only costs a 404 telling the client to re-POST the full
+// request. Each delta response's key is itself stored as a base, so
+// sweeps can chain edits step over step.
 
 // wireEdit is one field assignment. The target task is selected by
 // Priority (the unique priority value, always unambiguous) or by Task
@@ -311,22 +252,21 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Fleet routing keys on the *base*: the owner of the base key holds
-	// its registry entry and the warm memo backbones the delta reuses.
-	// A base this node already knows resolves locally regardless of
-	// ownership (it was analyzed or relayed here before); a successful
-	// relay counts delta_requests on the owner, not here.
+	// its inputs and the warm memo backbones the delta reuses. A base
+	// this node already knows resolves locally regardless of ownership
+	// (it was analyzed or relayed here before); a successful relay
+	// counts delta_requests on the owner, not here.
+	base, _ := s.store.get(req.BaseKey, nil, nil)
+	known := base.ts != nil
 	degraded := false
-	if s.ring != nil && !cluster.Forwarded(r) && !s.ring.OwnsLocally(req.BaseKey) {
-		if _, _, known := s.bases.get(req.BaseKey); !known {
-			if done := s.proxyDelta(w, r, ri, req.BaseKey, body); done {
-				return
-			}
-			degraded = true
+	if !known && s.ring != nil && !cluster.Forwarded(r) && !s.ring.OwnsLocally(req.BaseKey) {
+		if done := s.proxyDelta(w, r, ri, req.BaseKey, body); done {
+			return
 		}
+		degraded = true
 	}
 	s.obs.Add(telemetry.CtrServerDeltaRequests, 1)
-	baseTS, baseCfgs, ok := s.bases.get(req.BaseKey)
-	if !ok {
+	if !known {
 		s.obs.Add(telemetry.CtrServerDeltaBaseMisses, 1)
 		s.writeError(w, http.StatusNotFound,
 			fmt.Errorf("unknown base key %s: not analyzed recently by this server (re-POST the full request to /v1/analyze)", req.BaseKey))
@@ -334,7 +274,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 	s.obs.Add(telemetry.CtrServerDeltaEdits, int64(len(req.Edits)))
 	td = st.Now()
-	ts, cfgs, err := deltaInputs(baseTS, baseCfgs, &req)
+	ts, cfgs, err := deltaInputs(base.ts, base.cfgs, &req)
 	st.AddSince(telemetry.StageDecode, td)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -356,11 +355,11 @@ func TestDeltaAmbiguousName(t *testing.T) {
 	}
 }
 
-// TestDeltaDisabled: BaseEntries < 0 turns the endpoint into a
-// guaranteed 404 (no base is ever registered) without affecting the
-// plain analyze path.
+// TestDeltaDisabled: CacheEntries < 0 turns off the request store, and
+// with it the delta endpoint, into a guaranteed 404 (no base is ever
+// stored) without affecting the plain analyze path.
 func TestDeltaDisabled(t *testing.T) {
-	hs := httptest.NewServer(New(Options{BaseEntries: -1}).Handler())
+	hs := httptest.NewServer(New(Options{CacheEntries: -1}).Handler())
 	defer hs.Close()
 
 	resp, data := postAnalyze(t, hs.URL, requestBody(t, fixtures.Fig1TaskSet(), paperConfigs[:1]))
@@ -369,35 +368,7 @@ func TestDeltaDisabled(t *testing.T) {
 	}
 	key := decodeEnvelope(t, data).Key
 	if dResp, dData := postJSON(t, hs.URL+"/v1/analyze/delta", wireDeltaRequest{BaseKey: key}); dResp.StatusCode != http.StatusNotFound {
-		t.Errorf("delta with registry disabled: status %d, want 404\n%s", dResp.StatusCode, dData)
-	}
-}
-
-func TestBaseRegistryBounded(t *testing.T) {
-	r := newBaseRegistry(4)
-	ts := fixtures.Fig1TaskSet()
-	for i := 0; i < 10; i++ {
-		r.put(fmt.Sprintf("k%d", i), ts, nil)
-	}
-	if got := r.len(); got != 4 {
-		t.Errorf("registry holds %d entries, want the 4-entry bound", got)
-	}
-	if _, _, ok := r.get("k9"); !ok {
-		t.Error("most recent base evicted")
-	}
-	if _, _, ok := r.get("k0"); ok {
-		t.Error("oldest base survived beyond the bound")
-	}
-	// Recency: touching k6 must protect it over k7.
-	if _, _, ok := r.get("k6"); !ok {
-		t.Fatal("k6 missing")
-	}
-	r.put("k10", ts, nil)
-	if _, _, ok := r.get("k6"); !ok {
-		t.Error("recently touched base evicted before a colder one")
-	}
-	if _, _, ok := r.get("k7"); ok {
-		t.Error("cold base survived while a warmer one was evicted")
+		t.Errorf("delta with the store disabled: status %d, want 404\n%s", dResp.StatusCode, dData)
 	}
 }
 

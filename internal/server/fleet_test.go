@@ -355,8 +355,11 @@ func TestFleetOldNodeRejectsNewArbiter(t *testing.T) {
 }
 
 // TestFleetDeltaRoutesToBaseOwner: deltas route by the *base* key — the
-// owner holds the base registry entry and the warm memo backbones — and
-// a node that never saw the base proxies instead of 404ing.
+// owner holds the base's inputs and the warm memo backbones — and a
+// node that never saw the base proxies instead of 404ing. The edge's
+// fill from the relayed delta holds results only: it answers the full
+// edited request from cache but is no delta base until that cache hit
+// supplies the inputs.
 func TestFleetDeltaRoutesToBaseOwner(t *testing.T) {
 	f := newFleet(t, 3, nil)
 	body := f.bodyOwnedBy(t, 1)
@@ -401,8 +404,55 @@ func TestFleetDeltaRoutesToBaseOwner(t *testing.T) {
 		t.Errorf("edge peer_proxied = %d, want 1", got)
 	}
 	// Edge fill under the *edited* key: the relayed result is now local.
-	if _, hit := f.srvs[0].cache.get(denv.Key); !hit {
+	if _, hit := f.srvs[0].store.get(denv.Key, nil, nil); !hit {
 		t.Error("edge did not keep the relayed delta result")
+	}
+
+	// The fill holds results only (the owner alone decoded the inputs),
+	// so it is no delta base at the edge: a delta on the edited key goes
+	// where it would without the fill, to the key's owner, which answers
+	// only if it is node 1 (the one node that analyzed the edited set).
+	chain := wireDeltaRequest{
+		BaseKey: denv.Key,
+		Edits:   []wireEdit{{Task: fixtures.Fig1TaskSet().Tasks[0].Name, Field: "pd", Value: json.RawMessage("10")}},
+	}
+	want := http.StatusNotFound
+	if f.ownerIndex(t, denv.Key) == 1 {
+		want = http.StatusOK
+	}
+	if cresp, cdata := postJSON(t, f.urls[0]+"/v1/analyze/delta", chain); cresp.StatusCode != want {
+		t.Errorf("delta on the edge-filled key: status %d, want %d\n%s", cresp.StatusCode, want, cdata)
+	}
+	if got := f.obs[0].Metrics.Get(telemetry.CtrServerDeltaEdits); got != 0 {
+		t.Errorf("edge delta_edits = %d, want 0: a result-only entry resolved as a base", got)
+	}
+
+	// The edge answers the full edited request from its cache, and that
+	// hit supplies the inputs: the same delta now resolves at the edge.
+	var req wireAnalyzeRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	edited, _, err := req.decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited.Tasks[0].PD = 9
+	aresp, adata := postAnalyze(t, f.urls[0], requestBody(t, edited, paperConfigs[:2]))
+	if aresp.StatusCode != http.StatusOK {
+		t.Fatalf("edited request at the edge: status %d\n%s", aresp.StatusCode, adata)
+	}
+	if env := decodeEnvelope(t, adata); env.Key != denv.Key || !env.Cached {
+		t.Errorf("edited request at the edge: key %s cached %v, want %s from the cache", env.Key, env.Cached, denv.Key)
+	}
+	if got := f.obs[0].Metrics.Get(telemetry.CtrServerAnalyses); got != 0 {
+		t.Errorf("edge analyses = %d, want 0", got)
+	}
+	if cresp, cdata := postJSON(t, f.urls[0]+"/v1/analyze/delta", chain); cresp.StatusCode != http.StatusOK {
+		t.Errorf("delta after the cache hit: status %d, want 200\n%s", cresp.StatusCode, cdata)
+	}
+	if got := f.obs[0].Metrics.Get(telemetry.CtrServerDeltaEdits); got != 1 {
+		t.Errorf("edge delta_edits = %d, want 1: the cache hit did not supply the inputs", got)
 	}
 }
 

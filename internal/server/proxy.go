@@ -26,9 +26,12 @@ import (
 //     costs latency and cache locality, not availability.
 //   - Edge fill: a successfully relayed /v1/analyze envelope is
 //     parsed and its result bytes, normalized to the encoder's output
-//     form, stored in the local cache (and the decoded inputs in the
-//     local base registry), so repeat traffic for a remote key turns
-//     into local cache hits.
+//     form, stored in the local request store with the decoded inputs,
+//     so repeat traffic for a remote key turns into local cache hits
+//     and deltas against it resolve locally. A relayed delta's result
+//     is stored without inputs (only the owner decoded them): it
+//     answers repeats, but is no delta base until a local cache hit
+//     supplies them.
 //
 // Accounting: a successfully proxied request counts only
 // server.peer_proxied at the edge — the owner counts it as
@@ -46,7 +49,7 @@ func (s *Server) routeRemotely(r *http.Request, key string) bool {
 	if s.ring == nil || cluster.Forwarded(r) || s.ring.OwnsLocally(key) {
 		return false
 	}
-	if _, hit := s.cache.get(key); hit {
+	if _, hit := s.store.get(key, nil, nil); hit {
 		// A previously relayed (or degraded-computed) result answers
 		// locally without another hop; the analyze path will re-find it
 		// and count the cache hit.
@@ -56,10 +59,24 @@ func (s *Server) routeRemotely(r *http.Request, key string) bool {
 }
 
 // peerDegrade accounts one failed proxy attempt on the way to local
-// compute. err is nil when the peer answered with a failure status.
+// compute: a transport error or a non-2xx answer from the peer.
 func (s *Server) peerDegrade() {
 	s.obs.Add(telemetry.CtrServerPeerErrors, 1)
 	s.obs.Add(telemetry.CtrServerPeerDegraded, 1)
+}
+
+// edgeFill stores a relayed result under key, normalized to the
+// encoder's output form like every cached value, so the next duplicate
+// of the key is a local cache hit. ts and cfgs, when this node decoded
+// them, make the key a local delta base too.
+func (s *Server) edgeFill(key string, results json.RawMessage, ts *taskmodel.TaskSet, cfgs []core.Config) {
+	if len(results) == 0 {
+		return
+	}
+	if raw, err := normalizeResults(results); err == nil {
+		s.store.put(key, raw, ts, cfgs)
+		s.obs.Add(telemetry.CtrServerPeerHits, 1)
+	}
 }
 
 // proxyAnalyze relays one /v1/analyze body to the key's owner. It
@@ -75,17 +92,9 @@ func (s *Server) proxyAnalyze(w http.ResponseWriter, r *http.Request, ri *reqInf
 		return false
 	}
 	s.obs.Add(telemetry.CtrServerPeerProxied, 1)
-	// Edge fill: keep the relayed result bytes, normalized to the
-	// encoder's output form like every cached value, so the next
-	// duplicate of this key is a local cache hit; and register the
-	// decoded inputs so deltas against this base resolve locally too.
 	var env wireAnalyzeResponse
-	if json.Unmarshal(respBody, &env) == nil && env.Key == key && len(env.Results) > 0 {
-		if raw, err := normalizeResults(env.Results); err == nil {
-			s.cache.put(key, raw)
-			s.bases.put(key, ts, cfgs)
-			s.obs.Add(telemetry.CtrServerPeerHits, 1)
-		}
+	if json.Unmarshal(respBody, &env) == nil && env.Key == key {
+		s.edgeFill(key, env.Results, ts, cfgs)
 	}
 	ri.setVerdict("proxied")
 	writeBody(w, status, respBody)
@@ -114,15 +123,9 @@ func (s *Server) proxyBatchItem(r *http.Request, ri *reqInfo, key string, ts *ta
 		return wireBatchItem{}, false
 	}
 	s.obs.Add(telemetry.CtrServerPeerProxied, 1)
-	// Edge fill, normalized like every cached value; the batch envelope
-	// itself goes through writeJSON, which compacts the item's bytes.
-	if len(env.Results) > 0 {
-		if raw, err := normalizeResults(env.Results); err == nil {
-			s.cache.put(key, raw)
-			s.bases.put(key, ts, cfgs)
-			s.obs.Add(telemetry.CtrServerPeerHits, 1)
-		}
-	}
+	// The batch envelope itself goes through writeJSON, which compacts
+	// the item's bytes.
+	s.edgeFill(key, env.Results, ts, cfgs)
 	ri.setVerdict("proxied")
 	return wireBatchItem{
 		Key: env.Key, Cached: env.Cached, Coalesced: env.Coalesced, Results: env.Results,
@@ -130,7 +133,7 @@ func (s *Server) proxyBatchItem(r *http.Request, ri *reqInfo, key string, ts *ta
 }
 
 // proxyDelta relays one /v1/analyze/delta body to the *base* key's
-// owner — that node holds the base registry entry and the warm memo
+// owner — that node holds the base's inputs and the warm memo
 // backbones the delta exists to reuse. Reports true when the peer's
 // response was relayed; false degrades to the local delta path (which
 // 404s honestly if this node never saw the base).
@@ -145,13 +148,10 @@ func (s *Server) proxyDelta(w http.ResponseWriter, r *http.Request, ri *reqInfo,
 	}
 	s.obs.Add(telemetry.CtrServerPeerProxied, 1)
 	// Edge fill under the *edited* request's key, which the envelope
-	// names; the inputs stay unregistered here (the owner has them).
+	// names: results only, since the owner alone decoded the inputs.
 	var env wireDeltaResponse
-	if json.Unmarshal(respBody, &env) == nil && env.Key != "" && len(env.Results) > 0 {
-		if raw, err := normalizeResults(env.Results); err == nil {
-			s.cache.put(env.Key, raw)
-			s.obs.Add(telemetry.CtrServerPeerHits, 1)
-		}
+	if json.Unmarshal(respBody, &env) == nil && env.Key != "" {
+		s.edgeFill(env.Key, env.Results, nil, nil)
 	}
 	ri.setVerdict("proxied")
 	writeBody(w, status, respBody)

@@ -4,7 +4,7 @@
 //
 // The serving layer is deliberately pure: it never post-processes
 // engine output. Each request is canonicalized to a stable key
-// (core.CanonicalKey), answered from a bounded LRU result cache when
+// (core.CanonicalKey), answered from a bounded LRU request store when
 // possible, coalesced with identical in-flight work otherwise
 // (singleflight), and only then admitted to a bounded worker pool.
 // Admission beyond the pool plus a configurable queue depth is shed
@@ -59,8 +59,8 @@ import (
 )
 
 // Options configures a Server. The zero value is serviceable: engine
-// concurrency at GOMAXPROCS, a queue of twice that, a 1024-entry cache
-// without expiry, no per-request timeout.
+// concurrency at GOMAXPROCS, a queue of twice that, a 1024-entry
+// request store, no per-request timeout.
 type Options struct {
 	// Workers bounds concurrent engine invocations; <= 0 selects
 	// GOMAXPROCS.
@@ -69,21 +69,17 @@ type Options struct {
 	// before new arrivals are shed with 429. 0 selects 2×Workers; a
 	// negative value disables waiting entirely (busy workers => shed).
 	QueueDepth int
-	// CacheEntries bounds the result cache. 0 selects 1024; a negative
-	// value disables caching.
+	// CacheEntries bounds the request store: the recently analyzed
+	// requests whose results answer repeats from cache and whose inputs
+	// make them /v1/analyze/delta bases. 0 selects 1024; a negative
+	// value disables caching and deltas together (every base lookup
+	// 404s).
 	CacheEntries int
-	// CacheTTL expires cache entries; 0 keeps them until evicted by
-	// capacity.
-	CacheTTL time.Duration
 	// MemoEntries bounds the engine's content-addressed table memo
 	// shared across requests (the delta fast path). 0 selects the
 	// engine default (4096 columns); a negative value disables
 	// memoization.
 	MemoEntries int
-	// BaseEntries bounds the registry of recently analyzed requests
-	// addressable as delta bases. 0 selects 1024; a negative value
-	// disables /v1/analyze/delta (every base lookup 404s).
-	BaseEntries int
 	// RequestTimeout bounds how long a request may wait for a worker
 	// slot and cancels the engine between requests. A running analysis
 	// is never preempted mid-fixed-point — its runtime is bounded by
@@ -103,8 +99,6 @@ type Options struct {
 	// AccessLogFormat selects the access-log rendering: "json"
 	// (default) or "text".
 	AccessLogFormat string
-	// Now overrides the cache clock (tests). nil selects time.Now.
-	Now func() time.Time
 	// Ring, when non-nil, joins this server to a buscond fleet with
 	// shard-owner request routing (internal/cluster): requests whose
 	// canonical key another node owns are proxied there, an unreachable
@@ -118,13 +112,12 @@ type Options struct {
 type Server struct {
 	opts     Options
 	obs      *telemetry.Observer
-	cache    *resultCache
+	store    *store
 	flight   *flightGroup
 	memo     *core.MemoStore // nil when MemoEntries < 0
-	bases    *baseRegistry
-	ring     *cluster.Ring // nil outside a fleet
-	sem      chan struct{} // worker slots
-	tickets  chan struct{} // worker slots + waiting room; full => shed
+	ring     *cluster.Ring   // nil outside a fleet
+	sem      chan struct{}   // worker slots
+	tickets  chan struct{}   // worker slots + waiting room; full => shed
 	mux      *http.ServeMux
 	handler  http.Handler // mux wrapped in the instrument middleware
 	access   *accessLogger
@@ -152,15 +145,6 @@ func New(opts Options) *Server {
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = time.Second
 	}
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
-	switch {
-	case opts.BaseEntries < 0:
-		opts.BaseEntries = 0
-	case opts.BaseEntries == 0:
-		opts.BaseEntries = 1024
-	}
 	var memo *core.MemoStore
 	if opts.MemoEntries >= 0 {
 		memo = core.NewMemoStore(opts.MemoEntries)
@@ -171,10 +155,9 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		obs:     opts.Observer,
-		cache:   newResultCache(opts.CacheEntries, opts.CacheTTL, opts.Now, opts.Observer),
+		store:   newStore(opts.CacheEntries, opts.Observer),
 		flight:  newFlightGroup(),
 		memo:    memo,
-		bases:   newBaseRegistry(opts.BaseEntries),
 		ring:    opts.Ring,
 		sem:     make(chan struct{}, opts.Workers),
 		tickets: make(chan struct{}, opts.Workers+opts.QueueDepth),
@@ -232,6 +215,25 @@ const maxBodyBytes = 64 << 20
 
 var errBodyTooLarge = fmt.Errorf("request body exceeds the %d MiB limit", maxBodyBytes>>20)
 
+// checkSetBytes bounds the bitset memory a wire task set asks for. Its
+// UCB, ECB and PCB sets are ⌈NumSets/64⌉ words each, allocated when the
+// task set is built, whatever the index lists hold, so a few hundred
+// bytes naming a huge NumSets could ask for terabytes. A task set whose
+// sets would outweigh the largest body the server reads is rejected
+// before any is allocated. A non-positive NumSets is left to
+// Platform.Validate.
+func checkSetBytes(numSets, tasks int) error {
+	if numSets <= 0 || tasks == 0 {
+		return nil
+	}
+	words := uint64(numSets-1)/64 + 1
+	if words > maxBodyBytes/(3*8*uint64(tasks)) {
+		return fmt.Errorf("platform: cache NumSets = %d: the cache sets of %d tasks would exceed the %d MiB request limit",
+			numSets, tasks, maxBodyBytes>>20)
+	}
+	return nil
+}
+
 // readBody reads a request body whole, capped at maxBodyBytes. On
 // failure it has answered the request itself — 413 past the cap, 400
 // for any other read error — and reports false.
@@ -253,12 +255,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	return body, true
 }
 
-// analysisError marks a request whose engine run failed terminally
-// (even after the isolation layer's reference retry).
-type analysisError struct{ err error }
-
-func (e *analysisError) Error() string { return e.err.Error() }
-
 // outcome is the result of one analysis request on its way to the
 // wire.
 type outcome struct {
@@ -279,14 +275,13 @@ func (s *Server) analyze(ctx context.Context, ri *reqInfo, key string, ts *taskm
 	st := ri.stageTimer()
 	s.obs.Add(telemetry.CtrServerRequests, 1)
 	t0 := st.Now()
-	raw, hit := s.cache.get(key)
+	e, hit := s.store.get(key, ts, cfgs)
 	st.AddSince(telemetry.StageCache, t0)
 	if hit {
 		s.obs.Add(telemetry.CtrServerCacheHits, 1)
-		s.bases.put(key, ts, cfgs)
 		ri.addCacheHit()
 		ri.setVerdict("cached")
-		return outcome{key: key, raw: raw, cached: true}, nil
+		return outcome{key: key, raw: e.raw, cached: true}, nil
 	}
 	s.obs.Add(telemetry.CtrServerCacheMisses, 1)
 	tw := st.Now()
@@ -310,11 +305,6 @@ func (s *Server) analyze(ctx context.Context, ri *reqInfo, key string, ts *taskm
 		ri.setVerdict(verdictOf(err))
 		return outcome{key: key}, err
 	}
-	// Only a resolved request is addressable as a delta base (including
-	// the edited sets produced by deltas themselves, so sweeps chain):
-	// registering before admission would let a flood of shed requests
-	// churn the registry and evict bases that were actually analyzed.
-	s.bases.put(key, ts, cfgs)
 	if shared {
 		ri.setVerdict("coalesced")
 	} else {
@@ -343,12 +333,12 @@ func (s *Server) compute(ri *reqInfo, key string, ts *taskmodel.TaskSet, cfgs []
 	// A previous leader may have filled the cache between our lookup
 	// and winning flight leadership.
 	t0 := st.Now()
-	raw, hit := s.cache.get(key)
+	e, hit := s.store.get(key, ts, cfgs)
 	st.AddSince(telemetry.StageCache, t0)
 	if hit {
 		s.obs.Add(telemetry.CtrServerCacheHits, 1)
 		ri.addCacheHit()
-		return raw, nil
+		return e.raw, nil
 	}
 
 	// Admission: one ticket per request in the building (running or
@@ -419,7 +409,7 @@ func (s *Server) compute(ri *reqInfo, key string, ts *taskmodel.TaskSet, cfgs []
 	}
 	if failure != nil {
 		s.obs.Add(telemetry.CtrServerFailures, 1)
-		return nil, &analysisError{failure}
+		return nil, failure
 	}
 	if len(out) == 0 || out[0] == nil {
 		// The deadline fired before the engine picked the request up.
@@ -430,27 +420,27 @@ func (s *Server) compute(ri *reqInfo, key string, ts *taskmodel.TaskSet, cfgs []
 		return nil, fmt.Errorf("server: analysis produced no result")
 	}
 	tm := st.Now()
-	raw = encodeResults(out[0])
+	raw := encodeResults(out[0])
 	st.AddSince(telemetry.StageMarshal, tm)
-	// The cache fill is cache time, not marshal time — conflating the
-	// two would hide a contended or oversized cache inside the marshal
-	// histogram.
+	// The store fill is cache time, not marshal time — conflating the
+	// two would hide a contended or oversized store inside the marshal
+	// histogram. Only a request the engine resolved becomes a delta
+	// base (including the edited sets deltas produce, so sweeps chain):
+	// storing before admission would let a flood of shed requests churn
+	// the store and evict bases that were actually analyzed.
 	tc := st.Now()
-	s.cache.put(key, raw)
+	s.store.put(key, raw, ts, cfgs)
 	st.AddSince(telemetry.StageCache, tc)
 	return raw, nil
 }
 
 // statusOf maps an analysis error to its HTTP status.
 func statusOf(err error) int {
-	var ae *analysisError
 	switch {
 	case errors.Is(err, errShed):
 		return http.StatusTooManyRequests
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return http.StatusGatewayTimeout
-	case errors.As(err, &ae):
-		return http.StatusInternalServerError
 	default:
 		return http.StatusInternalServerError
 	}

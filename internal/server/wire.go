@@ -169,12 +169,16 @@ type wireError struct {
 	Error string `json:"error"`
 }
 
-// decode turns one wire request into engine inputs, running the full
-// task-set validation (taskmodel.TaskSetJSON.TaskSet) so every later
-// failure is an engine matter, not malformed input.
+// decode turns one wire request into engine inputs, running the
+// bitset-memory bound (checkSetBytes) and the full task-set validation
+// (taskmodel.TaskSetJSON.TaskSet) so every later failure is an engine
+// matter, not malformed input.
 func (r *wireAnalyzeRequest) decode() (*taskmodel.TaskSet, []core.Config, error) {
 	if r.TaskSet == nil {
 		return nil, nil, fmt.Errorf("missing taskset")
+	}
+	if err := checkSetBytes(r.TaskSet.Platform.Cache.NumSets, len(r.TaskSet.Tasks)); err != nil {
+		return nil, nil, err
 	}
 	ts, err := r.TaskSet.TaskSet()
 	if err != nil {

@@ -112,13 +112,10 @@ const (
 	// coalescing map.
 	CtrServerCacheHits
 	CtrServerCacheMisses
-	// CtrServerCacheEvictions counts cache entries dropped by LRU
-	// capacity pressure; CtrServerCacheExpiries counts entries dropped
-	// because their TTL elapsed (discovered on get or swept during
-	// put). The two are distinct signals: evictions indicate the cache
-	// is too small, expiries only that results aged out.
+	// CtrServerCacheEvictions counts request-store entries dropped by
+	// LRU capacity pressure, the only way an entry leaves: a cached
+	// result is a pure function of its key and never expires.
 	CtrServerCacheEvictions
-	CtrServerCacheExpiries
 	// CtrServerCoalesced counts requests that joined an identical
 	// in-flight computation instead of starting their own.
 	CtrServerCoalesced
@@ -138,8 +135,8 @@ const (
 	// Delta endpoint family (POST /v1/analyze/delta): incremental
 	// analysis requests phrased as a base canonical key plus edits.
 	// CtrServerDeltaRequests counts delta requests,
-	// CtrServerDeltaBaseMisses those whose base key was not in the
-	// base registry (the client must re-POST the full request), and
+	// CtrServerDeltaBaseMisses those whose base key had no inputs in
+	// the request store (the client must re-POST the full request), and
 	// CtrServerDeltaEdits the individual edits applied.
 	CtrServerDeltaRequests
 	CtrServerDeltaBaseMisses
@@ -195,7 +192,6 @@ var counterNames = [numCounters]string{
 	CtrServerCacheHits:       "server.cache_hits",
 	CtrServerCacheMisses:     "server.cache_misses",
 	CtrServerCacheEvictions:  "server.cache_evictions",
-	CtrServerCacheExpiries:   "server.cache_expiries",
 	CtrServerCoalesced:       "server.coalesced",
 	CtrServerAnalyses:        "server.analyses",
 	CtrServerShed:            "server.shed",
