@@ -16,9 +16,8 @@
 //	buscond -addr 127.0.0.1:8080 -peers 127.0.0.1:8080,127.0.0.1:8081
 //	buscond -addr 127.0.0.1:8081 -peers 127.0.0.1:8080,127.0.0.1:8081
 //
-// Endpoints: POST /v1/analyze, POST /v1/analyze/batch,
-// POST /v1/analyze/delta, GET /healthz, GET /metrics,
-// GET /debug/pprof/*. See DESIGN.md §11–§12 for the wire format and
+// Endpoints: POST /v1/analyze, POST /v1/analyze/delta, GET /healthz,
+// GET /metrics, GET /debug/pprof/*. See DESIGN.md §11–§12 for the wire format and
 // §14 for the fleet design; the README has quickstarts for both.
 package main
 

@@ -112,10 +112,16 @@ type Config struct {
 	// Union. Ignored unless Persistence is set.
 	CPRO persistence.CPROApproach
 	// MaxOuterIterations caps the outer fixed-point loop (safety net;
-	// the loop is monotone and terminates on its own). Zero means the
-	// default of 64.
+	// the loop is monotone and terminates on its own). Zero means
+	// DefaultMaxOuterIterations.
 	MaxOuterIterations int
 }
+
+// DefaultMaxOuterIterations is the outer-loop cap a zero
+// Config.MaxOuterIterations selects. Both engines run with it and the
+// canonical key normalizes to it, so the two spellings of the default
+// share one key.
+const DefaultMaxOuterIterations = 64
 
 // DefaultConfig returns the paper's configuration for the given
 // arbiter: ECB-union CRPD, CPRO-union, persistence on.
@@ -259,7 +265,7 @@ func newAnalyzerWithTables(ts *taskmodel.TaskSet, cfg Config, tbl *tables) (*Ana
 // for the whole config list and builds the tables from ts itself).
 func newAnalyzerChecked(ts *taskmodel.TaskSet, cfg Config, tbl *tables) *Analyzer {
 	if cfg.MaxOuterIterations == 0 {
-		cfg.MaxOuterIterations = 64
+		cfg.MaxOuterIterations = DefaultMaxOuterIterations
 	}
 	a := &Analyzer{
 		TS:  ts,

@@ -29,12 +29,12 @@ import (
 // canonical returns the configuration with ignored and defaulted
 // fields normalized to their effective values:
 //
-//   - MaxOuterIterations 0 is the documented default of 64;
+//   - MaxOuterIterations 0 is DefaultMaxOuterIterations;
 //   - CPRO is ignored unless Persistence is set, so it is zeroed for
 //     persistence-off configurations.
 func (c Config) canonical() Config {
 	if c.MaxOuterIterations == 0 {
-		c.MaxOuterIterations = 64
+		c.MaxOuterIterations = DefaultMaxOuterIterations
 	}
 	if !c.Persistence {
 		c.CPRO = persistence.Union // zero value; field is ignored

@@ -40,7 +40,7 @@ func NewReference(ts *taskmodel.TaskSet, cfg Config) (*Reference, error) {
 		return nil, err
 	}
 	if cfg.MaxOuterIterations == 0 {
-		cfg.MaxOuterIterations = 64
+		cfg.MaxOuterIterations = DefaultMaxOuterIterations
 	}
 	a := &Reference{
 		ts:        ts,

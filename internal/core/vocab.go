@@ -73,6 +73,11 @@ type WireConfig struct {
 	MaxOuterIterations int    `json:"max_outer_iterations,omitempty"`
 }
 
+// MaxWireOuterIterations caps max_outer_iterations on the wire, 16×
+// DefaultMaxOuterIterations: the outer loop is what bounds one
+// analysis's runtime, and a worker is never preempted mid-analysis.
+const MaxWireOuterIterations = 16 * DefaultMaxOuterIterations
+
 // Config parses the names into an engine configuration.
 func (w WireConfig) Config() (Config, error) {
 	arb, err := ParseArbiter(w.Arbiter)
@@ -96,6 +101,9 @@ func (w WireConfig) Config() (Config, error) {
 	}
 	if w.MaxOuterIterations < 0 {
 		return Config{}, fmt.Errorf("negative max_outer_iterations")
+	}
+	if w.MaxOuterIterations > MaxWireOuterIterations {
+		return Config{}, fmt.Errorf("max_outer_iterations %d exceeds the limit of %d", w.MaxOuterIterations, MaxWireOuterIterations)
 	}
 	return cfg, nil
 }

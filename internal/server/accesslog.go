@@ -26,19 +26,21 @@ import (
 // log line. With no access-log writer configured the log line is
 // skipped but the histograms still fill — /metrics works either way.
 
-// reqInfo is the mutable per-request record. Batch items update it
-// concurrently, so all mutators lock; every method is nil-safe because
-// handlers can be exercised without the middleware (direct mux tests).
+// reqInfo is the mutable per-request record. The handler writes it and
+// the middleware reads it once the handler returns; all mutators lock
+// so that holds from any goroutine the request's work runs on. Every
+// method is nil-safe because handlers can be exercised without the
+// middleware (direct mux tests).
 type reqInfo struct {
 	id string
 	st *telemetry.StageTimer
 
 	mu        sync.Mutex
 	verdict   string
-	cacheHits int64 // result-cache hits (this request's items)
+	cacheHits int64 // result-cache hits
 	memoHits  int64 // engine table+curve memo hits, leader-attributed
 	analyses  int64 // engine invocations this request led
-	coalesced int64 // items that joined another request's flight
+	coalesced int64 // waits that joined another request's flight
 }
 
 type ctxKeyReqInfo struct{}
@@ -61,25 +63,17 @@ func (ri *reqInfo) stageTimer() *telemetry.StageTimer {
 	return ri.st
 }
 
-// setVerdict records how an item of this request resolved. The first
-// verdict wins the slot; a differing second one degrades to "mixed"
-// (heterogeneous batch). force overwrites unconditionally — the delta
-// endpoint stamps "delta" over the underlying fresh/cached resolution.
-func (ri *reqInfo) setVerdict(v string)   { ri.applyVerdict(v, false) }
-func (ri *reqInfo) forceVerdict(v string) { ri.applyVerdict(v, true) }
-
-func (ri *reqInfo) applyVerdict(v string, force bool) {
-	if ri == nil || v == "" {
+// setVerdict records how the request resolved. The last write wins:
+// the analyze path sets fresh, cached, coalesced or its failure, and a
+// handler may then override that with how the request as a whole
+// resolved (degraded, delta, proxied).
+func (ri *reqInfo) setVerdict(v string) {
+	if ri == nil {
 		return
 	}
 	ri.mu.Lock()
-	defer ri.mu.Unlock()
-	switch {
-	case force, ri.verdict == "":
-		ri.verdict = v
-	case ri.verdict != v:
-		ri.verdict = "mixed"
-	}
+	ri.verdict = v
+	ri.mu.Unlock()
 }
 
 func (ri *reqInfo) addCacheHit() {

@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -241,107 +239,5 @@ func TestCacheFillChargedToCacheStage(t *testing.T) {
 	if fresh.Stages["marshal"] >= margin {
 		t.Errorf("stage.marshal_us = %d — the cache fill is being charged to the marshal stage",
 			fresh.Stages["marshal"])
-	}
-}
-
-// TestBatchFanOutBounded pins the batch-admission satellite: a large
-// batch is worked by a fixed runner pool, not one goroutine per item —
-// a 64-item batch must not add anywhere near 64 goroutines.
-func TestBatchFanOutBounded(t *testing.T) {
-	release := make(chan struct{})
-	core.SetBatchFaultHook(func(label string, attempt int) { <-release })
-	defer core.SetBatchFaultHook(nil)
-
-	obs := telemetry.New()
-	hs := httptest.NewServer(New(Options{Workers: 2, Observer: obs}).Handler())
-	defer hs.Close()
-
-	const items = 64
-	reqs := make([]wireAnalyzeRequest, items)
-	for i := range reqs {
-		ts := fixtures.Fig1TaskSet()
-		ts.Platform.DMem = int64(i + 1) // distinct canonical keys
-		var tsBuf bytes.Buffer
-		if err := ts.WriteJSON(&tsBuf); err != nil {
-			t.Fatal(err)
-		}
-		reqs[i] = wireAnalyzeRequest{TaskSet: wireTaskSet(t, tsBuf.Bytes()), Configs: paperConfigs[:1]}
-	}
-	body, err := json.Marshal(wireBatchRequest{Requests: reqs})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	baseline := runtime.NumGoroutine()
-	type batchOut struct {
-		status int
-		data   []byte
-	}
-	done := make(chan batchOut, 1)
-	go func() {
-		resp, err := http.Post(hs.URL+"/v1/analyze/batch", "application/json", bytes.NewReader(body))
-		if err != nil {
-			done <- batchOut{}
-			return
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		done <- batchOut{resp.StatusCode, data}
-	}()
-
-	// Both runners are parked inside the engine once two analyses have
-	// started; with per-item goroutines, all 64 items would be running
-	// (or parked in admission) by now instead.
-	deadline := time.Now().Add(5 * time.Second)
-	for obs.Metrics.Get(telemetry.CtrServerAnalyses) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("batch runners never reached the engine")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if grew := runtime.NumGoroutine() - baseline; grew >= items/2 {
-		t.Errorf("goroutines grew by %d for a %d-item batch — fan-out is unbounded", grew, items)
-	}
-
-	close(release)
-	out := <-done
-	if out.status != http.StatusOK {
-		t.Fatalf("batch status = %d\n%s", out.status, out.data)
-	}
-	var br wireBatchResponse
-	if err := json.Unmarshal(out.data, &br); err != nil {
-		t.Fatalf("decoding batch response: %v", err)
-	}
-	if len(br.Results) != items {
-		t.Fatalf("got %d results, want %d", len(br.Results), items)
-	}
-	for i, it := range br.Results {
-		if it.Error != "" {
-			t.Errorf("item %d failed: %s (status %d)", i, it.Error, it.Status)
-		}
-	}
-}
-
-// TestBatchSizeLimit: a batch beyond maxBatchItems is a 400, not an
-// allocation storm.
-func TestBatchSizeLimit(t *testing.T) {
-	hs := httptest.NewServer(New(Options{}).Handler())
-	defer hs.Close()
-
-	body, err := json.Marshal(wireBatchRequest{Requests: make([]wireAnalyzeRequest, maxBatchItems+1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(hs.URL+"/v1/analyze/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("oversized batch: status %d, want 400\n%s", resp.StatusCode, data)
-	}
-	if !strings.Contains(string(data), "limit") {
-		t.Errorf("400 body does not explain the limit: %s", data)
 	}
 }

@@ -212,41 +212,6 @@ func TestWireDecodeRepeatedTaskSetKey(t *testing.T) {
 	}
 }
 
-// TestBatchTaskSetTypeErrorStaysItemLevel: a task set that does not
-// decode is its own item's 400 inside a 200 batch, as it was when each
-// item's task set was parsed on its own; an envelope error is still
-// the whole batch's 400.
-func TestBatchTaskSetTypeErrorStaysItemLevel(t *testing.T) {
-	hs := httptest.NewServer(New(Options{}).Handler())
-	defer hs.Close()
-	valid := fig1Body(t)
-	bad := strings.Replace(valid, `"ucb":[5,6]`, `"ucb":["five"]`, 1)
-	resp, data := postJSON(t, hs.URL+"/v1/analyze/batch", map[string][]json.RawMessage{
-		"requests": {json.RawMessage(valid), json.RawMessage(bad)},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200\n%s", resp.StatusCode, data)
-	}
-	var out wireBatchResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 2 || out.Results[0].Error != "" || out.Results[1].Status != http.StatusBadRequest ||
-		!strings.Contains(out.Results[1].Error, "tasks.ucb") {
-		t.Errorf("items = %+v, want [ok, 400 naming tasks.ucb]", out.Results)
-	}
-
-	envBad := `{"requests":[` + valid + `,{"taskset":{},"configs":"fp"}]}`
-	resp, err := http.Post(hs.URL+"/v1/analyze/batch", "application/json", strings.NewReader(envBad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("envelope error: status %d, want 400", resp.StatusCode)
-	}
-}
-
 // lazyBody streams n bytes of an endless index list without holding
 // them: `{"taskset":{"tasks":[{"ucb":[0,0,0,...`. Read counts what the
 // server consumed.
@@ -281,7 +246,7 @@ func (b *lazyBody) Read(p []byte) (int, error) {
 func TestOversizedBodyRejected(t *testing.T) {
 	obs := telemetry.New()
 	srv := New(Options{Observer: obs})
-	for _, path := range []string{"/v1/analyze", "/v1/analyze/batch", "/v1/analyze/delta"} {
+	for _, path := range []string{"/v1/analyze", "/v1/analyze/delta"} {
 		for _, declared := range []bool{true, false} {
 			body := &lazyBody{n: maxBodyBytes + 1}
 			req := httptest.NewRequest(http.MethodPost, path, body)
@@ -315,53 +280,26 @@ func TestOversizedBodyRejected(t *testing.T) {
 
 // TestOversizedNumSetsRejected: a task set whose cache sets would
 // outweigh the body limit is answered 400 naming NumSets before any set
-// is allocated, on /v1/analyze and on a batch item; the other items of
-// the batch still resolve.
+// is allocated.
 func TestOversizedNumSetsRejected(t *testing.T) {
 	huge := taskmodel.NewTaskSetJSON(fixtures.Fig1TaskSet())
 	huge.Platform.Cache.NumSets = 1 << 40
-	item := wireAnalyzeRequest{TaskSet: huge, Configs: []core.WireConfig{{Arbiter: "fp"}}}
-	analyzeBody, err := json.Marshal(item)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok := wireAnalyzeRequest{TaskSet: taskmodel.NewTaskSetJSON(fixtures.Fig1TaskSet()), Configs: item.Configs}
-	batchBody, err := json.Marshal(wireBatchRequest{Requests: []wireAnalyzeRequest{item, ok}})
+	body, err := json.Marshal(wireAnalyzeRequest{TaskSet: huge, Configs: []core.WireConfig{{Arbiter: "fp"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := New(Options{}).Handler()
-	serve := func(path string, body []byte) (*httptest.ResponseRecorder, uint64) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		runtime.ReadMemStats(&after)
-		return rec, after.TotalAlloc - before.TotalAlloc
-	}
-	const maxAlloc = 4 << 20
-
-	rec, alloc := serve("/v1/analyze", analyzeBody)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body)))
+	runtime.ReadMemStats(&after)
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "NumSets") {
 		t.Errorf("/v1/analyze: %d %s, want 400 naming NumSets", rec.Code, rec.Body.Bytes())
 	}
-	if alloc > maxAlloc {
+	const maxAlloc = 4 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > maxAlloc {
 		t.Errorf("/v1/analyze allocated %d bytes rejecting the task set, want < %d", alloc, maxAlloc)
-	}
-
-	rec, alloc = serve("/v1/analyze/batch", batchBody)
-	var out wireBatchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusOK || err != nil || len(out.Results) != 2 {
-		t.Fatalf("batch: %d %s", rec.Code, rec.Body.Bytes())
-	}
-	if it := out.Results[0]; it.Status != http.StatusBadRequest || !strings.Contains(it.Error, "NumSets") {
-		t.Errorf("batch item 0: status %d error %q, want 400 naming NumSets", it.Status, it.Error)
-	}
-	if it := out.Results[1]; it.Error != "" {
-		t.Errorf("batch item 1 failed: %s", it.Error)
-	}
-	if alloc > maxAlloc {
-		t.Errorf("batch allocated %d bytes, want < %d", alloc, maxAlloc)
 	}
 }
 

@@ -260,7 +260,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	known := base.ts != nil
 	degraded := false
 	if !known && s.ring != nil && !cluster.Forwarded(r) && !s.ring.OwnsLocally(req.BaseKey) {
-		if done := s.proxyDelta(w, r, ri, req.BaseKey, body); done {
+		if s.relay(w, r, ri, req.BaseKey, "/v1/analyze/delta", body, nil, nil) {
 			return
 		}
 		degraded = true
@@ -292,9 +292,9 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	// request resolved underneath (fresh, cached or coalesced) — unless
 	// it only resolved here because its owner was unreachable.
 	if degraded {
-		ri.forceVerdict("degraded")
+		ri.setVerdict("degraded")
 	} else {
-		ri.forceVerdict("delta")
+		ri.setVerdict("delta")
 	}
 	tm := ri.stageTimer().Now()
 	writeAppended(w, func(b []byte) []byte { return appendEnvelope(b, oc, req.BaseKey) })

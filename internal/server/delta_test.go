@@ -416,3 +416,153 @@ func TestDeltaEditCannotInvalidateRegulatedConfig(t *testing.T) {
 		t.Errorf("error %q does not name the offending field", we.Error)
 	}
 }
+
+// fuzzDeltaFields is FuzzDelta's edit vocabulary: the task fields, then
+// the platform fields.
+var fuzzDeltaFields = []string{
+	"pd", "md", "mdr", "period", "deadline", "priority", "core", "ucb", "ecb", "pcb",
+	"d_mem", "slot_size", "reg_budget", "reg_period",
+}
+
+// fuzzDeltaStep decodes one step of a FuzzDelta input against the
+// current base: 4-byte records (op, task, lo, hi) up to one whose field
+// index is past the vocabulary. Each record yields a wire edit and the
+// same edit stated as direct struct mutation of the base's copy. It
+// returns the edits, the edited set and the unread input.
+func fuzzDeltaStep(base *taskmodel.TaskSet, data []byte) ([]wireEdit, *taskmodel.TaskSet, []byte) {
+	plat := base.Platform
+	tasks := make([]*taskmodel.Task, len(base.Tasks))
+	for i, tk := range base.Tasks {
+		c := *tk
+		tasks[i] = &c
+	}
+	var edits []wireEdit
+	for ; len(data) >= 4; data = data[4:] {
+		op, sel, lo, hi := data[0], data[1], data[2], data[3]
+		f := int(op & 0x0f)
+		if f >= len(fuzzDeltaFields) {
+			data = data[4:]
+			break
+		}
+		e := wireEdit{Field: fuzzDeltaFields[f]}
+		v := int64(lo)
+		switch e.Field {
+		case "priority":
+			v %= 8
+		case "core":
+			v %= 3 // 2 names a core Fig. 1's platform lacks
+		}
+		e.Value, _ = json.Marshal(v) // an int64 or []int always marshals
+		if f < 10 {
+			i := int(sel) % len(tasks)
+			if op&0x10 != 0 {
+				p := base.Tasks[i].Priority
+				e.Priority = &p
+			} else {
+				e.Task = base.Tasks[i].Name
+			}
+			tk := tasks[i]
+			switch e.Field {
+			case "pd":
+				tk.PD = v
+			case "md":
+				tk.MD = v
+			case "mdr":
+				tk.MDr = v
+			case "period":
+				tk.Period = v
+			case "deadline":
+				tk.Deadline = v
+			case "priority":
+				tk.Priority = int(v)
+			case "core":
+				tk.Core = int(v)
+			default:
+				n := plat.Cache.NumSets
+				var idx []int
+				for b, mask := 0, int(lo)|int(hi)<<8; b < 16 && b < n; b++ {
+					if mask&(1<<b) != 0 {
+						idx = append(idx, b)
+					}
+				}
+				e.Value, _ = json.Marshal(idx)
+				s := cacheset.FromSorted(n, idx)
+				switch e.Field {
+				case "ucb":
+					tk.UCB = s
+				case "ecb":
+					tk.ECB = s
+				case "pcb":
+					tk.PCB = s
+				}
+			}
+		} else {
+			switch e.Field {
+			case "d_mem":
+				plat.DMem = v
+			case "slot_size":
+				plat.SlotSize = int(v)
+			case "reg_budget":
+				plat.RegBudget = v
+			case "reg_period":
+				plat.RegPeriod = v
+			}
+		}
+		edits = append(edits, e)
+	}
+	return edits, taskmodel.NewTaskSet(plat, tasks), data
+}
+
+// FuzzDelta: delta == fresh under eviction. Fuzzed edit lists are
+// chained, each on the key the previous 200 returned, from a Fig. 1
+// base on a server whose one-entry memo evicts on every op. Every 200
+// delta must equal, byte for byte (key and results), the same edits
+// applied by direct mutation and POSTed in full to a memo-free server.
+// A 4xx leaves the chain where it was; a 5xx or a panic fails.
+func FuzzDelta(f *testing.F) {
+	deltaSrv := New(Options{MemoEntries: 1}).Handler()
+	plainSrv := New(Options{MemoEntries: -1}).Handler()
+	serve := func(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64 {
+			data = data[:64] // at most 16 edits
+		}
+		cur := fixtures.Fig1TaskSet()
+		rec := serve(deltaSrv, "/v1/analyze", requestBody(t, cur, paperConfigs))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("base: %d %s", rec.Code, rec.Body.Bytes())
+		}
+		key := decodeEnvelope(t, rec.Body.Bytes()).Key
+		for len(data) >= 4 {
+			var edits []wireEdit
+			var edited *taskmodel.TaskSet
+			edits, edited, data = fuzzDeltaStep(cur, data)
+			body, err := json.Marshal(wireDeltaRequest{BaseKey: key, Edits: edits})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := serve(deltaSrv, "/v1/analyze/delta", body)
+			if rec.Code >= 500 {
+				t.Fatalf("delta %s: %d %s", body, rec.Code, rec.Body.Bytes())
+			}
+			if rec.Code != http.StatusOK {
+				continue
+			}
+			dEnv := decodeDelta(t, rec.Body.Bytes())
+			fresh := serve(plainSrv, "/v1/analyze", requestBody(t, edited, paperConfigs))
+			if fresh.Code != http.StatusOK {
+				t.Fatalf("delta %s answered 200, the edited set %d: %s", body, fresh.Code, fresh.Body.Bytes())
+			}
+			fEnv := decodeEnvelope(t, fresh.Body.Bytes())
+			if dEnv.Key != fEnv.Key || !bytes.Equal(dEnv.Results, fEnv.Results) {
+				t.Fatalf("delta %s diverges from the fresh path:\ndelta: %s %s\nfresh: %s %s",
+					body, dEnv.Key, dEnv.Results, fEnv.Key, fEnv.Results)
+			}
+			cur, key = edited, dEnv.Key
+		}
+	})
+}

@@ -18,8 +18,8 @@ import (
 // verbatim. That is sound only because every cached value is already
 // in the encoder's output form (compact, HTML-escaped): the appender's
 // output is, and bytes an edge keeps from a peer are normalized at fill
-// (normalizeResults). The batch envelope, error bodies and /metrics
-// still go through writeJSON.
+// (normalizeResults). Error bodies and /metrics still go through
+// writeJSON.
 
 // appendResults appends rs as json.Marshal encodes a []*core.Result:
 // the same field order, null for a nil slice, nil result or nil Tasks,

@@ -456,74 +456,6 @@ func TestFleetDeltaRoutesToBaseOwner(t *testing.T) {
 	}
 }
 
-// TestFleetBatchMixedOwnership: a batch whose items belong to three
-// different owners fans out from the receiving node — each item is
-// analyzed exactly once, on its owner, and the response carries every
-// item's results.
-func TestFleetBatchMixedOwnership(t *testing.T) {
-	f := newFleet(t, 3, nil)
-	var items []wireAnalyzeRequest
-	var bodies [][]byte
-	for owner := 0; owner < 3; owner++ {
-		body := f.bodyOwnedBy(t, owner)
-		bodies = append(bodies, body)
-		var item wireAnalyzeRequest
-		if err := json.Unmarshal(body, &item); err != nil {
-			t.Fatal(err)
-		}
-		items = append(items, item)
-	}
-	body, err := json.Marshal(wireBatchRequest{Requests: items})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(f.urls[0]+"/v1/analyze/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: status %d\n%s", resp.StatusCode, data)
-	}
-	var out wireBatchResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("decoding batch response: %v\n%s", err, data)
-	}
-	if len(out.Results) != 3 {
-		t.Fatalf("got %d results, want 3", len(out.Results))
-	}
-	for i, it := range out.Results {
-		if it.Error != "" {
-			t.Errorf("item %d failed: %s", i, it.Error)
-		}
-		if want := keyOfBody(t, bodies[i]); it.Key != want {
-			t.Errorf("item %d key = %s, want %s", i, it.Key, want)
-		}
-	}
-	if got := f.sum(telemetry.CtrServerAnalyses); got != 3 {
-		t.Errorf("fleet-wide analyses = %d, want 3 (one per distinct item)", got)
-	}
-	for owner := 0; owner < 3; owner++ {
-		if got := f.obs[owner].Metrics.Get(telemetry.CtrServerAnalyses); got != 1 {
-			t.Errorf("node %d analyses = %d, want 1 (each item on its owner)", owner, got)
-		}
-	}
-	if got := f.obs[0].Metrics.Get(telemetry.CtrServerPeerProxied); got != 2 {
-		t.Errorf("receiving node peer_proxied = %d, want 2", got)
-	}
-	// Item bytes match what each owner serves directly.
-	for i, b := range bodies {
-		oresp, odata := postAnalyze(t, f.urls[i], b)
-		if oresp.StatusCode != http.StatusOK {
-			t.Fatalf("owner %d replay: status %d", i, oresp.StatusCode)
-		}
-		if !bytes.Equal([]byte(decodeEnvelope(t, odata).Results), []byte(out.Results[i].Results)) {
-			t.Errorf("item %d bytes differ from the owner's own answer", i)
-		}
-	}
-}
-
 // TestEncodeAnalyzeBodyRoundTrip pins cluster.EncodeAnalyzeBody against
 // the server's wire parser: engine inputs rendered to a request body
 // and decoded back must land on the same canonical key, for every

@@ -383,51 +383,6 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 }
 
-// TestBatchVerdictMixed: a batch whose items resolve differently logs
-// as "mixed"; a homogeneous batch keeps the shared verdict.
-func TestBatchVerdictMixed(t *testing.T) {
-	var logw syncWriter
-	hs := httptest.NewServer(New(Options{AccessLog: &logw}).Handler())
-	defer hs.Close()
-
-	var tsBuf bytes.Buffer
-	if err := fixtures.Fig1TaskSet().WriteJSON(&tsBuf); err != nil {
-		t.Fatal(err)
-	}
-	item := wireAnalyzeRequest{TaskSet: wireTaskSet(t, tsBuf.Bytes()), Configs: paperConfigs[:1]}
-
-	// Warm the cache, then a batch of one fresh + one cached item.
-	if resp, data := postAnalyze(t, hs.URL, requestBody(t, fixtures.Fig1TaskSet(), paperConfigs[:1])); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm: status %d\n%s", resp.StatusCode, data)
-	}
-	ts2 := fixtures.Fig1TaskSet()
-	ts2.Platform.DMem = 9
-	var ts2Buf bytes.Buffer
-	if err := ts2.WriteJSON(&ts2Buf); err != nil {
-		t.Fatal(err)
-	}
-	item2 := wireAnalyzeRequest{TaskSet: wireTaskSet(t, ts2Buf.Bytes()), Configs: paperConfigs[:1]}
-	body, _ := json.Marshal(wireBatchRequest{Requests: []wireAnalyzeRequest{item, item2}})
-	resp, err := http.Post(hs.URL+"/v1/analyze/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	lines := waitLines(t, &logw, 2)
-	var batch accessLine
-	if err := json.Unmarshal([]byte(lines[1]), &batch); err != nil {
-		t.Fatal(err)
-	}
-	if batch.Verdict != "mixed" {
-		t.Errorf("heterogeneous batch verdict = %q, want mixed", batch.Verdict)
-	}
-	if batch.Cache != 1 || batch.Runs != 1 {
-		t.Errorf("batch attribution: cache_hits=%d analyses=%d, want 1/1", batch.Cache, batch.Runs)
-	}
-}
-
 // TestDeltaVerdict: a successful delta request logs as "delta".
 func TestDeltaVerdict(t *testing.T) {
 	var logw syncWriter

@@ -79,13 +79,18 @@ func (s *Server) edgeFill(key string, results json.RawMessage, ts *taskmodel.Tas
 	}
 }
 
-// proxyAnalyze relays one /v1/analyze body to the key's owner. It
-// reports true when the peer's response was written to the client;
-// false tells the caller to degrade to local compute.
-func (s *Server) proxyAnalyze(w http.ResponseWriter, r *http.Request, ri *reqInfo, key string, ts *taskmodel.TaskSet, cfgs []core.Config, body []byte) bool {
+// relay forwards a request body to the owner of routeKey at path: the
+// request's canonical key for /v1/analyze, the base key for
+// /v1/analyze/delta, whose owner holds the base's inputs and the warm
+// memo backbones the delta reuses. It reports true when the peer's
+// response was written to the client; false tells the caller to degrade
+// to local compute. The edge fill goes under the key the envelope
+// names; ts and cfgs, which only the analyze path has, belong to
+// routeKey and are stored only when the envelope's key equals it.
+func (s *Server) relay(w http.ResponseWriter, r *http.Request, ri *reqInfo, routeKey, path string, body []byte, ts *taskmodel.TaskSet, cfgs []core.Config) bool {
 	st := ri.stageTimer()
 	tp := st.Now()
-	status, respBody, err := s.ring.Proxy(r.Context(), key, "/v1/analyze", body)
+	status, respBody, err := s.ring.Proxy(r.Context(), routeKey, path, body)
 	st.AddSince(telemetry.StageProxy, tp)
 	if err != nil || status < 200 || status > 299 {
 		s.peerDegrade()
@@ -93,65 +98,8 @@ func (s *Server) proxyAnalyze(w http.ResponseWriter, r *http.Request, ri *reqInf
 	}
 	s.obs.Add(telemetry.CtrServerPeerProxied, 1)
 	var env wireAnalyzeResponse
-	if json.Unmarshal(respBody, &env) == nil && env.Key == key {
-		s.edgeFill(key, env.Results, ts, cfgs)
-	}
-	ri.setVerdict("proxied")
-	writeBody(w, status, respBody)
-	return true
-}
-
-// proxyBatchItem relays one batch item as a single /v1/analyze request
-// to its owner and maps the envelope back into a batch item. ok=false
-// tells the caller to degrade the item to local compute.
-func (s *Server) proxyBatchItem(r *http.Request, ri *reqInfo, key string, ts *taskmodel.TaskSet, cfgs []core.Config, item *wireAnalyzeRequest) (wireBatchItem, bool) {
-	body, err := json.Marshal(item)
-	if err != nil {
-		return wireBatchItem{}, false
-	}
-	st := ri.stageTimer()
-	tp := st.Now()
-	status, respBody, perr := s.ring.Proxy(r.Context(), key, "/v1/analyze", body)
-	st.AddSince(telemetry.StageProxy, tp)
-	if perr != nil || status < 200 || status > 299 {
-		s.peerDegrade()
-		return wireBatchItem{}, false
-	}
-	var env wireAnalyzeResponse
-	if uerr := json.Unmarshal(respBody, &env); uerr != nil || env.Key != key {
-		s.peerDegrade()
-		return wireBatchItem{}, false
-	}
-	s.obs.Add(telemetry.CtrServerPeerProxied, 1)
-	// The batch envelope itself goes through writeJSON, which compacts
-	// the item's bytes.
-	s.edgeFill(key, env.Results, ts, cfgs)
-	ri.setVerdict("proxied")
-	return wireBatchItem{
-		Key: env.Key, Cached: env.Cached, Coalesced: env.Coalesced, Results: env.Results,
-	}, true
-}
-
-// proxyDelta relays one /v1/analyze/delta body to the *base* key's
-// owner — that node holds the base's inputs and the warm memo
-// backbones the delta exists to reuse. Reports true when the peer's
-// response was relayed; false degrades to the local delta path (which
-// 404s honestly if this node never saw the base).
-func (s *Server) proxyDelta(w http.ResponseWriter, r *http.Request, ri *reqInfo, baseKey string, body []byte) bool {
-	st := ri.stageTimer()
-	tp := st.Now()
-	status, respBody, err := s.ring.Proxy(r.Context(), baseKey, "/v1/analyze/delta", body)
-	st.AddSince(telemetry.StageProxy, tp)
-	if err != nil || status < 200 || status > 299 {
-		s.peerDegrade()
-		return false
-	}
-	s.obs.Add(telemetry.CtrServerPeerProxied, 1)
-	// Edge fill under the *edited* request's key, which the envelope
-	// names: results only, since the owner alone decoded the inputs.
-	var env wireDeltaResponse
-	if json.Unmarshal(respBody, &env) == nil && env.Key != "" {
-		s.edgeFill(env.Key, env.Results, nil, nil)
+	if json.Unmarshal(respBody, &env) == nil && env.Key != "" && (ts == nil || env.Key == routeKey) {
+		s.edgeFill(env.Key, env.Results, ts, cfgs)
 	}
 	ri.setVerdict("proxied")
 	writeBody(w, status, respBody)

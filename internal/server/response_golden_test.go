@@ -66,8 +66,8 @@ func goldenPost(t *testing.T, url, path string, body []byte) []byte {
 }
 
 // TestResponseGolden pins the full bytes of every success envelope:
-// /v1/analyze fresh and cached, /v1/analyze/delta, a two-item batch
-// and a cache hit served from bytes a fleet edge kept from its peer.
+// /v1/analyze fresh and cached, /v1/analyze/delta and a cache hit
+// served from bytes a fleet edge kept from its peer.
 // Regenerate deliberately with:
 //
 //	go test ./internal/server -run TestResponseGolden -update
@@ -94,23 +94,6 @@ func TestResponseGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	record("delta", goldenPost(t, hs.URL, "/v1/analyze/delta", dbody))
-
-	ts := goldenTaskSet()
-	ts.Platform.DMem = 1
-	var tsBuf bytes.Buffer
-	if err := ts.WriteJSON(&tsBuf); err != nil {
-		t.Fatal(err)
-	}
-	bbody, err := json.Marshal(wireBatchRequest{Requests: []wireAnalyzeRequest{
-		{TaskSet: wireTaskSet(t, tsBuf.Bytes()), Configs: goldenConfigs[:3]},
-		{TaskSet: wireTaskSet(t, tsBuf.Bytes()), Configs: goldenConfigs[3:]},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hb := httptest.NewServer(New(Options{}).Handler())
-	defer hb.Close()
-	record("batch", goldenPost(t, hb.URL, "/v1/analyze/batch", bbody))
 
 	// Two nodes: post to the one that does not own the key, twice. The
 	// second answer comes from the bytes the edge kept from the owner.

@@ -17,7 +17,6 @@
 // Endpoints:
 //
 //	POST /v1/analyze        one task set under a list of configurations
-//	POST /v1/analyze/batch  several of the above in one round trip
 //	POST /v1/analyze/delta  a recent request's key plus a list of edits
 //	GET  /healthz           liveness (503 while draining)
 //	GET  /metrics           counters, gauges and stage-latency
@@ -165,7 +164,6 @@ func New(opts Options) *Server {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("/v1/analyze/batch", s.handleBatch)
 	mux.HandleFunc("/v1/analyze/delta", s.handleDelta)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -202,15 +200,11 @@ func (s *Server) StartDrain() { s.draining.Store(true) }
 // errShed marks requests refused by admission control.
 var errShed = errors.New("server: worker pool and queue full")
 
-// maxBatchItems bounds one batch request. The cap is far above any
-// sane sweep step (a full utilization grid at paper scale is ~400
-// items) and exists to turn an absurd or hostile batch into a 400
-// instead of an allocation storm.
-const maxBatchItems = 1024
-
-// maxBodyBytes caps one request body (analyze, batch or delta). A full
-// maxBatchItems batch of paper-default task sets is about 34 MB; a
-// larger body is answered 413 before anything parses it.
+// maxBodyBytes caps one request body (analyze or delta). It leaves
+// room for the largest task sets the daemon serves — a 160-task set on
+// an 8192-set cache whose UCB, ECB and PCB lists each name every set
+// is about 19 MB — and bounds what one request makes the server buffer
+// and parse; a larger body is answered 413 before anything parses it.
 const maxBodyBytes = 64 << 20
 
 var errBodyTooLarge = fmt.Errorf("request body exceeds the %d MiB limit", maxBodyBytes>>20)
@@ -508,7 +502,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	st.AddSince(telemetry.StageKey, tk)
 	degraded := false
 	if s.routeRemotely(r, key) {
-		if done := s.proxyAnalyze(w, r, ri, key, ts, cfgs, body); done {
+		if s.relay(w, r, ri, key, "/v1/analyze", body, ts, cfgs) {
 			return
 		}
 		degraded = true
@@ -519,105 +513,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if degraded {
-		ri.forceVerdict("degraded")
+		ri.setVerdict("degraded")
 	}
 	tm := ri.stageTimer().Now()
 	writeAppended(w, func(b []byte) []byte { return appendEnvelope(b, oc, "") })
 	ri.stageTimer().AddSince(telemetry.StageMarshal, tm)
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
-	ri := reqInfoFrom(r.Context())
-	st := ri.stageTimer()
-	td := st.Now()
-	body, ok := s.readBody(w, r)
-	if !ok {
-		st.AddSince(telemetry.StageDecode, td)
-		return
-	}
-	reqs, decodeErrs, err := decodeBatch(body)
-	st.AddSince(telemetry.StageDecode, td)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if len(reqs) == 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
-		return
-	}
-	if len(reqs) > maxBatchItems {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch of %d items exceeds the %d-item limit (split it)", len(reqs), maxBatchItems))
-		return
-	}
-	items := make([]wireBatchItem, len(reqs))
-	// Bounded fan-out: a fixed pool of runners claims items off a shared
-	// index instead of one goroutine per item — a huge batch must not be
-	// a goroutine bomb that sidesteps admission sizing. The pool is
-	// capped at Workers because that is all the concurrency the engine
-	// semaphore will grant anyway.
-	runners := s.opts.Workers
-	if runners > len(reqs) {
-		runners = len(reqs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < runners; wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				if decodeErrs != nil && decodeErrs[i] != nil {
-					items[i] = wireBatchItem{Error: decodeErrs[i].Error(), Status: http.StatusBadRequest}
-					continue
-				}
-				items[i] = s.batchItem(r, ri, &reqs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	tm := ri.stageTimer().Now()
-	s.writeJSON(w, http.StatusOK, wireBatchResponse{Results: items})
-	ri.stageTimer().AddSince(telemetry.StageMarshal, tm)
-}
-
-// batchItem resolves one batch item: decode, fleet routing (proxy to
-// the owner, degrade on peer failure), then the ordinary analyze path.
-func (s *Server) batchItem(r *http.Request, ri *reqInfo, item *wireAnalyzeRequest) wireBatchItem {
-	st := ri.stageTimer()
-	td := st.Now()
-	ts, cfgs, err := item.decode()
-	st.AddSince(telemetry.StageDecode, td)
-	if err != nil {
-		return wireBatchItem{Error: err.Error(), Status: http.StatusBadRequest}
-	}
-	tk := st.Now()
-	key := core.CanonicalKey(ts, cfgs)
-	st.AddSince(telemetry.StageKey, tk)
-	degraded := false
-	if s.routeRemotely(r, key) {
-		if it, ok := s.proxyBatchItem(r, ri, key, ts, cfgs, item); ok {
-			return it
-		}
-		degraded = true
-	}
-	oc, err := s.analyze(r.Context(), ri, key, ts, cfgs)
-	if err != nil {
-		return wireBatchItem{Key: oc.key, Error: err.Error(), Status: statusOf(err)}
-	}
-	if degraded {
-		ri.forceVerdict("degraded")
-	}
-	return wireBatchItem{Key: oc.key, Cached: oc.cached, Coalesced: oc.coalesced, Results: oc.raw}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

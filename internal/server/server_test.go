@@ -359,54 +359,6 @@ func TestPoisonedRequestCannotKillTheDaemon(t *testing.T) {
 	}
 }
 
-// TestBatchEndpoint: several task sets in one round trip, duplicates
-// inside the batch resolved through the same cache/coalescing path.
-func TestBatchEndpoint(t *testing.T) {
-	obs := telemetry.New()
-	hs := httptest.NewServer(New(Options{Observer: obs}).Handler())
-	defer hs.Close()
-
-	var tsBuf bytes.Buffer
-	if err := fixtures.Fig1TaskSet().WriteJSON(&tsBuf); err != nil {
-		t.Fatal(err)
-	}
-	item := wireAnalyzeRequest{TaskSet: wireTaskSet(t, tsBuf.Bytes()), Configs: paperConfigs[:2]}
-	bad := wireAnalyzeRequest{TaskSet: wireTaskSet(t, tsBuf.Bytes()), Configs: []core.WireConfig{{Arbiter: "warp-drive"}}}
-	body, _ := json.Marshal(wireBatchRequest{Requests: []wireAnalyzeRequest{item, item, bad}})
-
-	resp, err := http.Post(hs.URL+"/v1/analyze/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d\n%s", resp.StatusCode, data)
-	}
-	var out wireBatchResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatalf("decoding batch response: %v\n%s", err, data)
-	}
-	if len(out.Results) != 3 {
-		t.Fatalf("got %d results, want 3", len(out.Results))
-	}
-	if out.Results[0].Error != "" || out.Results[1].Error != "" {
-		t.Errorf("good items errored: %+v", out.Results[:2])
-	}
-	if !bytes.Equal([]byte(out.Results[0].Results), []byte(out.Results[1].Results)) {
-		t.Error("duplicate batch items received different bytes")
-	}
-	if out.Results[0].Key != out.Results[1].Key {
-		t.Error("duplicate batch items received different keys")
-	}
-	if out.Results[2].Error == "" || out.Results[2].Status != http.StatusBadRequest {
-		t.Errorf("bad item not rejected: %+v", out.Results[2])
-	}
-	if got := obs.Metrics.Get(telemetry.CtrServerAnalyses); got != 1 {
-		t.Errorf("server.analyses = %d, want 1 (duplicates must share one computation)", got)
-	}
-}
-
 func TestRequestValidation(t *testing.T) {
 	hs := httptest.NewServer(New(Options{}).Handler())
 	defer hs.Close()
@@ -458,6 +410,65 @@ func TestRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/analyze: status %d, want 405", resp.StatusCode)
+	}
+
+	// There is no batch route: N analyses are N /v1/analyze posts.
+	resp, err = http.Post(hs.URL+"/v1/analyze/batch", "application/json", bytes.NewReader(badBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/analyze/batch: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestPerRequestWorkBounds: a request holds one worker for all of its
+// configurations, so their number and each one's outer-loop cap are
+// bounded. Past either bound, /v1/analyze and a delta's config override
+// answer 400 naming the field before any analysis runs; at the bound
+// the request is served.
+func TestPerRequestWorkBounds(t *testing.T) {
+	obs := telemetry.New()
+	hs := httptest.NewServer(New(Options{Observer: obs}).Handler())
+	defer hs.Close()
+	fp := func(n, iters int) []core.WireConfig {
+		cfgs := make([]core.WireConfig, n)
+		for i := range cfgs {
+			cfgs[i] = core.WireConfig{Arbiter: "fp", MaxOuterIterations: iters}
+		}
+		return cfgs
+	}
+	over := []struct {
+		name, field string
+		cfgs        []core.WireConfig
+	}{
+		{"too many configs", "configs", fp(maxConfigs+1, 0)},
+		{"outer-loop cap too high", "max_outer_iterations", fp(1, core.MaxWireOuterIterations+1)},
+	}
+	for _, tc := range over {
+		resp, data := postAnalyze(t, hs.URL, requestBody(t, fixtures.Fig1TaskSet(), tc.cfgs))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), tc.field) {
+			t.Errorf("analyze, %s: %d %s, want 400 naming %s", tc.name, resp.StatusCode, data, tc.field)
+		}
+	}
+	if got := obs.Metrics.Get(telemetry.CtrServerAnalyses); got != 0 {
+		t.Fatalf("server.analyses = %d after rejected requests, want 0", got)
+	}
+
+	resp, data := postAnalyze(t, hs.URL, requestBody(t, fixtures.Fig1TaskSet(), fp(maxConfigs, core.MaxWireOuterIterations)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("analyze at both bounds: status %d\n%s", resp.StatusCode, data)
+	}
+	baseKey := decodeEnvelope(t, data).Key
+	for _, tc := range over {
+		resp, data := postJSON(t, hs.URL+"/v1/analyze/delta", wireDeltaRequest{BaseKey: baseKey, Configs: tc.cfgs})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), tc.field) {
+			t.Errorf("delta override, %s: %d %s, want 400 naming %s", tc.name, resp.StatusCode, data, tc.field)
+		}
+	}
+	if got := obs.Metrics.Get(telemetry.CtrServerAnalyses); got != 1 {
+		t.Errorf("server.analyses = %d, want 1 (the base alone)", got)
 	}
 }
 

@@ -16,9 +16,8 @@ import (
 // so a request body is exactly "what you would have passed to buscon",
 // posted.
 
-// wireAnalyzeRequest is the body of POST /v1/analyze and one item of
-// POST /v1/analyze/batch. The task set is decoded in the same pass as
-// the envelope; decode validates it.
+// wireAnalyzeRequest is the body of POST /v1/analyze. The task set is
+// decoded in the same pass as the envelope; decode validates it.
 type wireAnalyzeRequest struct {
 	TaskSet *taskmodel.TaskSetJSON `json:"taskset"`
 	Configs []core.WireConfig      `json:"configs"`
@@ -38,10 +37,6 @@ type wireAnalyzeResponse struct {
 	Results   json.RawMessage `json:"results"`
 }
 
-type wireBatchRequest struct {
-	Requests []wireAnalyzeRequest `json:"requests"`
-}
-
 // decodeAnalyze parses a /v1/analyze body, task set included, in one
 // pass.
 func decodeAnalyze(body []byte) (wireAnalyzeRequest, error) {
@@ -59,38 +54,9 @@ func decodeAnalyze(body []byte) (wireAnalyzeRequest, error) {
 	return raw.request()
 }
 
-// decodeBatch parses a batch body in one pass. A task set that fails to
-// decode fails that pass for the whole body, yet it is its item's 400,
-// not the batch's: the body is then decoded again with every task set
-// kept raw and decoded on its own, and errs[i] carries item i's
-// failure. Any other malformation is the batch's, reported as the
-// one-pass error.
-func decodeBatch(body []byte) (items []wireAnalyzeRequest, errs []error, err error) {
-	var req wireBatchRequest
-	if err = json.NewDecoder(bytes.NewReader(body)).Decode(&req); err == nil &&
-		!repeatsTaskSetKey(body, countTaskSets(req.Requests...)) {
-		return req.Requests, nil, nil
-	}
-	var raw struct {
-		Requests []rawAnalyzeRequest `json:"requests"`
-	}
-	if rerr := json.NewDecoder(bytes.NewReader(body)).Decode(&raw); rerr != nil {
-		if err == nil {
-			err = rerr
-		}
-		return nil, nil, err
-	}
-	items = make([]wireAnalyzeRequest, len(raw.Requests))
-	errs = make([]error, len(raw.Requests))
-	for i, r := range raw.Requests {
-		items[i], errs[i] = r.request()
-	}
-	return items, errs, nil
-}
-
 // rawAnalyzeRequest is wireAnalyzeRequest with the task set left
-// undecoded: the two-pass shape decodeAnalyze and decodeBatch fall back
-// to when one pass cannot give a task set its own verdict.
+// undecoded: the two-pass shape decodeAnalyze falls back to when one
+// pass may have merged repeated "taskset" keys.
 type rawAnalyzeRequest struct {
 	TaskSet json.RawMessage   `json:"taskset"`
 	Configs []core.WireConfig `json:"configs"`
@@ -107,14 +73,11 @@ func (r *rawAnalyzeRequest) request() (wireAnalyzeRequest, error) {
 	return req, nil
 }
 
-func countTaskSets(reqs ...wireAnalyzeRequest) int {
-	n := 0
-	for _, r := range reqs {
-		if r.TaskSet != nil {
-			n++
-		}
+func countTaskSets(req wireAnalyzeRequest) int {
+	if req.TaskSet != nil {
+		return 1
 	}
-	return n
+	return 0
 }
 
 // repeatsTaskSetKey reports whether body may hold more "taskset" keys
@@ -148,21 +111,6 @@ func repeatsTaskSetKey(body []byte, n int) bool {
 		i += 1 + j
 	}
 	return keys > n
-}
-
-// wireBatchItem is one outcome of a batch request; exactly one of
-// Results and Error is set.
-type wireBatchItem struct {
-	Key       string          `json:"key,omitempty"`
-	Cached    bool            `json:"cached,omitempty"`
-	Coalesced bool            `json:"coalesced,omitempty"`
-	Results   json.RawMessage `json:"results,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	Status    int             `json:"status,omitempty"`
-}
-
-type wireBatchResponse struct {
-	Results []wireBatchItem `json:"results"`
 }
 
 type wireError struct {
@@ -199,11 +147,21 @@ func (r *wireAnalyzeRequest) decode() (*taskmodel.TaskSet, []core.Config, error)
 	return ts, cfgs, nil
 }
 
+// maxConfigs bounds the configurations of one request, each of which
+// is one analysis on the worker the request holds. The vocabulary's
+// full cross product (6 arbiters × persistence on/off × 5 CRPD × 4
+// CPRO approaches) is 240 configurations, so every distinct variant
+// still fits in one request.
+const maxConfigs = 256
+
 // parseConfigs maps the wire configurations to engine configurations;
-// shared by the analyze, batch and delta decoders.
+// shared by the analyze and delta decoders.
 func parseConfigs(wcs []core.WireConfig) ([]core.Config, error) {
 	if len(wcs) == 0 {
 		return nil, fmt.Errorf("missing configs (need at least one)")
+	}
+	if len(wcs) > maxConfigs {
+		return nil, fmt.Errorf("configs: %d configurations exceed the limit of %d", len(wcs), maxConfigs)
 	}
 	cfgs := make([]core.Config, len(wcs))
 	for i, wc := range wcs {

@@ -102,10 +102,9 @@ const (
 
 	// Server counter family (internal/server): admission, the canonical
 	// result cache and in-flight request coalescing of the analysis
-	// daemon. CtrServerRequests counts analysis requests (batch items
-	// count individually); every request resolves to exactly one of
-	// cache hit, coalesced wait, executed analysis, shed, timeout or
-	// failure.
+	// daemon. CtrServerRequests counts analysis requests; every request
+	// resolves to exactly one of cache hit, coalesced wait, executed
+	// analysis, shed, timeout or failure.
 	CtrServerRequests
 	// CtrServerCacheHits counts requests served from the result cache;
 	// CtrServerCacheMisses counts requests that had to go through the

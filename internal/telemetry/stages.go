@@ -94,9 +94,8 @@ func (s Stage) Hist() HistID {
 // StageTimer accumulates one request's per-stage durations. The nil
 // timer (returned by StartStages on an observer without metrics) is a
 // no-op that never reads the clock, preserving the zero-overhead-when-
-// disabled contract. Charging is safe for concurrent use — the items
-// of one batch request share their HTTP request's timer — but Finish
-// must happen once, after all charging goroutines are done.
+// disabled contract. Charging is safe for concurrent use (atomic
+// adds), but Finish must happen once, after all charging is done.
 type StageTimer struct {
 	obs   *Observer
 	start time.Time
