@@ -67,8 +67,14 @@ func benchOp(b *testing.B, op func() error) {
 // BenchmarkWireDecode is what every request pays before the cache can
 // answer it: the envelope and task-set parse, validation and the
 // canonical key.
-func BenchmarkWireDecode(b *testing.B) {
-	body := paperBody(b)
+func BenchmarkWireDecode(b *testing.B) { benchWireDecode(b, paperBody(b)) }
+
+// BenchmarkWireDecodeEditBase is BenchmarkWireDecode on the edit-shape
+// base body (editBaseBody), the largest body e2ebench posts.
+func BenchmarkWireDecodeEditBase(b *testing.B) { benchWireDecode(b, editBaseBody(b)) }
+
+func benchWireDecode(b *testing.B, body []byte) {
+	b.SetBytes(int64(len(body)))
 	benchOp(b, func() error {
 		req, err := decodeAnalyze(body)
 		if err != nil {
@@ -122,6 +128,21 @@ func editShapeSet(tb testing.TB) *taskmodel.TaskSet {
 	return ts
 }
 
+// editBaseBody is the edit-shape set under the six variants as a
+// /v1/analyze body, about 235 KB.
+func editBaseBody(tb testing.TB) []byte {
+	tb.Helper()
+	var tsBuf bytes.Buffer
+	if err := editShapeSet(tb).WriteJSON(&tsBuf); err != nil {
+		tb.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{"taskset": json.RawMessage(tsBuf.Bytes()), "configs": sixVariants})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
 // sixVariants are the paper's six analysis variants on the wire.
 var sixVariants = []core.WireConfig{
 	{Arbiter: "fp"}, {Arbiter: "fp", Persistence: true},
@@ -161,14 +182,7 @@ func BenchmarkAppendResults(b *testing.B) {
 // search.
 func BenchmarkHandlerDelta(b *testing.B) {
 	ts := editShapeSet(b)
-	var tsBuf bytes.Buffer
-	if err := ts.WriteJSON(&tsBuf); err != nil {
-		b.Fatal(err)
-	}
-	body, err := json.Marshal(map[string]any{"taskset": json.RawMessage(tsBuf.Bytes()), "configs": sixVariants})
-	if err != nil {
-		b.Fatal(err)
-	}
+	body := editBaseBody(b)
 	h := New(Options{}).Handler()
 	post := func(path string, body []byte) (string, error) {
 		rec := httptest.NewRecorder()

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -156,8 +158,18 @@ func wireDecodeSeeds(tb testing.TB) []string {
 
 // checkWireDecode compares the two decodes of body: accept or reject,
 // the handler's status on reject, and equal task sets, configurations
-// and keys on accept.
+// and keys on accept. A body the scanner reads must also fill the
+// request exactly as encoding/json does.
 func checkWireDecode(t *testing.T, h http.Handler, body string) {
+	if scanned, ok := scanAnalyze([]byte(body)); ok {
+		var want wireAnalyzeRequest
+		if err := json.Unmarshal([]byte(body), &want); err != nil {
+			t.Fatalf("scanner accepted a body encoding/json rejects (%v): %s", err, body)
+		}
+		if !reflect.DeepEqual(scanned, want) {
+			t.Fatalf("scanner read %+v, encoding/json %+v\nbody: %s", scanned, want, body)
+		}
+	}
 	ts, cfgs, err := onePassDecode([]byte(body))
 	wantTS, wantCfgs, wantErr := twoPassDecode([]byte(body))
 	if (err == nil) != (wantErr == nil) {
@@ -191,6 +203,94 @@ func FuzzWireDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body string) {
 		checkWireDecode(t, h, body)
 	})
+}
+
+// scanClass is a body the scanner declines or reads.
+type scanClass struct {
+	name     string
+	body     string
+	declines bool
+}
+
+// scanClasses are one body per class of input the scanner declines,
+// each next to the nearest form it reads. Each is also a committed
+// FuzzWireDecode seed under testdata/fuzz/FuzzWireDecode/<name>.
+func scanClasses(tb testing.TB) []scanClass {
+	valid := fig1Body(tb)
+	sub := func(old, new string) string {
+		if !strings.Contains(valid, old) {
+			tb.Fatalf("fig1Body lacks %s", old)
+		}
+		return strings.Replace(valid, old, new, 1)
+	}
+	platform := valid[strings.Index(valid, `{"NumCores"`):strings.Index(valid, `,"tasks"`)]
+	tasks := valid[strings.Index(valid, `[{"name"`):strings.Index(valid, `},"configs"`)]
+	return []scanClass{
+		{"plain", valid, false},
+		{"escaped_string", sub(`"tau1"`, `"tau\u0031"`), true},
+		{"escaped_key", sub(`"name":"tau1"`, `"n\u0061me":"tau1"`), true},
+		{"case_variant_key", sub(`"pd":4`, `"PD":4`), true},
+		{"duplicate_scalar_key", sub(`"pd":4`, `"pd":3,"pd":4`), true},
+		{"duplicate_platform", sub(`"platform":`, `"platform":{"NumCores":1,"DL2":3},"platform":`), true},
+		{"null", sub(`"pcb":[]`, `"pcb":null`), true},
+		{"unknown_field", sub(`"name":"tau1"`, `"name":"tau1","comment":"x"`), true},
+		{"minus_zero", sub(`"core":0`, `"core":-0`), true},
+		{"leading_zero", sub(`"pd":4`, `"pd":04`), true},
+		{"fraction", sub(`"pd":4`, `"pd":4.0`), true},
+		{"exponent", sub(`"pd":4`, `"pd":4e0`), true},
+		{"nineteen_digits", sub(`"period":120,"deadline":120`, `"period":1000000000000000000,"deadline":120`), true},
+		{"eighteen_digits", sub(`"period":120,"deadline":120`, `"period":100000000000000000,"deadline":120`), false},
+		{"invalid_utf8_name", sub(`"tau1"`, "\"tau\xff1\""), true},
+		{"non_ascii_name", sub(`"tau1"`, `"τ₁"`), false},
+		{"trailing_bytes", valid + ` x`, true},
+		{"trailing_space", valid + " \n", false},
+		{"platform_after_tasks", `{"taskset":{"tasks":` + tasks + `,"platform":` + platform + `},"configs":[{"arbiter":"fp"}]}`, true},
+		{"empty_tasks", sub(tasks, `[]`), false},
+		{"every_config_field", sub(`{"arbiter":"rr"}`, `{"arbiter":"rr","persistence":false,"crpd":"ecb-union","cpro":"cpro-multiset","max_outer_iterations":32}`), false},
+		{"empty_configs", sub(`[{"arbiter":"fp","persistence":true},{"arbiter":"rr"}]`, `[]`), false},
+		{"empty_index_arrays", sub(`"ucb":[5,6],"ecb":[1,2,3,4,5,6]`, `"ucb":[],"ecb":[]`), false},
+	}
+}
+
+// TestScannerDeclineClasses: the scanner declines exactly the bodies
+// outside its form, every body decodes as the two-pass reference
+// does, and the committed seed corpus holds the same bodies.
+func TestScannerDeclineClasses(t *testing.T) {
+	h := New(Options{}).Handler()
+	for _, c := range scanClasses(t) {
+		t.Run(c.name, func(t *testing.T) {
+			if _, ok := scanAnalyze([]byte(c.body)); ok == c.declines {
+				t.Errorf("scanner accepted=%v, want %v\nbody: %s", ok, !c.declines, c.body)
+			}
+			checkWireDecode(t, h, c.body)
+			seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzWireDecode", c.name))
+			if want := fmt.Sprintf("go test fuzz v1\nstring(%q)\n", c.body); err != nil || string(seed) != want {
+				t.Errorf("seed file: %v\n%s\nwant\n%s", err, seed, want)
+			}
+		})
+	}
+}
+
+// TestScannerKeysMatchFields: the scanner's key lists are the JSON
+// names of the fields they fill, so no field of either struct sends a
+// body to the fallback.
+func TestScannerKeysMatchFields(t *testing.T) {
+	for _, c := range []struct {
+		keys []string
+		typ  reflect.Type
+	}{
+		{envelopeKeys, reflect.TypeOf(wireAnalyzeRequest{})},
+		{configKeys, reflect.TypeOf(core.WireConfig{})},
+	} {
+		var names []string
+		for i := 0; i < c.typ.NumField(); i++ {
+			name, _, _ := strings.Cut(c.typ.Field(i).Tag.Get("json"), ",")
+			names = append(names, name)
+		}
+		if !reflect.DeepEqual(c.keys, names) {
+			t.Errorf("%v: scanner keys %q, fields %q", c.typ, c.keys, names)
+		}
+	}
 }
 
 // TestWireDecodeRepeatedTaskSetKey: a body naming the task set twice is

@@ -38,6 +38,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -209,6 +210,11 @@ const maxBodyBytes = 64 << 20
 
 var errBodyTooLarge = fmt.Errorf("request body exceeds the %d MiB limit", maxBodyBytes>>20)
 
+// presizeBytes bounds the buffer readBody sizes from a declared
+// Content-Length before any byte arrives: the length is the client's
+// claim, so a longer body grows as it is read.
+const presizeBytes = 1 << 20
+
 // checkSetBytes bounds the bitset memory a wire task set asks for. Its
 // UCB, ECB and PCB sets are ⌈NumSets/64⌉ words each, allocated when the
 // task set is built, whatever the index lists hold, so a few hundred
@@ -236,8 +242,9 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		s.writeError(w, http.StatusRequestEntityTooLarge, errBodyTooLarge)
 		return nil, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
+	var buf bytes.Buffer
+	buf.Grow(int(min(max(r.ContentLength, 0), presizeBytes)) + bytes.MinRead)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.writeError(w, http.StatusRequestEntityTooLarge, errBodyTooLarge)
@@ -246,7 +253,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		}
 		return nil, false
 	}
-	return body, true
+	return buf.Bytes(), true
 }
 
 // outcome is the result of one analysis request on its way to the

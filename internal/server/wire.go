@@ -38,8 +38,12 @@ type wireAnalyzeResponse struct {
 }
 
 // decodeAnalyze parses a /v1/analyze body, task set included, in one
-// pass.
+// pass: scanAnalyze reads the plain form every client emits, and
+// encoding/json the rest.
 func decodeAnalyze(body []byte) (wireAnalyzeRequest, error) {
+	if req, ok := scanAnalyze(body); ok {
+		return req, nil
+	}
 	var req wireAnalyzeRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return req, err
@@ -54,9 +58,58 @@ func decodeAnalyze(body []byte) (wireAnalyzeRequest, error) {
 	return raw.request()
 }
 
+// The JSON names of wireAnalyzeRequest's and core.WireConfig's fields,
+// in the order taskmodel.Scanner.Key's bits follow.
+var (
+	envelopeKeys = []string{"taskset", "configs"}
+	configKeys   = []string{"arbiter", "persistence", "crpd", "cpro", "max_outer_iterations"}
+)
+
+// scanAnalyze reads body with a taskmodel.Scanner; ok=false means "not
+// the plain form", never "invalid".
+func scanAnalyze(body []byte) (req wireAnalyzeRequest, ok bool) {
+	s := taskmodel.NewScanner(body)
+	var seen uint64
+	s.Open('{')
+	for s.More('}') {
+		switch s.Key(envelopeKeys, &seen) {
+		case "taskset":
+			req.TaskSet = new(taskmodel.TaskSetJSON)
+			s.TaskSet(req.TaskSet)
+		case "configs":
+			req.Configs = []core.WireConfig{}
+			s.Open('[')
+			for s.More(']') {
+				req.Configs = append(req.Configs, scanConfig(&s))
+			}
+		}
+	}
+	return req, s.End()
+}
+
+func scanConfig(s *taskmodel.Scanner) (wc core.WireConfig) {
+	var seen uint64
+	s.Open('{')
+	for s.More('}') {
+		switch s.Key(configKeys, &seen) {
+		case "arbiter":
+			wc.Arbiter = s.Str()
+		case "persistence":
+			wc.Persistence = s.Bool()
+		case "crpd":
+			wc.CRPD = s.Str()
+		case "cpro":
+			wc.CPRO = s.Str()
+		case "max_outer_iterations":
+			wc.MaxOuterIterations = s.Int()
+		}
+	}
+	return wc
+}
+
 // rawAnalyzeRequest is wireAnalyzeRequest with the task set left
-// undecoded: the two-pass shape decodeAnalyze falls back to when one
-// pass may have merged repeated "taskset" keys.
+// undecoded: the two-pass shape decodeAnalyze's encoding/json path
+// falls back to when one pass may have merged repeated "taskset" keys.
 type rawAnalyzeRequest struct {
 	TaskSet json.RawMessage   `json:"taskset"`
 	Configs []core.WireConfig `json:"configs"`

@@ -34,75 +34,10 @@ type TaskSetJSON struct {
 	Tasks    []TaskJSON `json:"tasks"`
 }
 
-// IndexList is a cache-set index list. Its decoder reads the plain
-// form — '[', unsigned decimal integers of at most 15 digits, commas,
-// JSON whitespace, ']' — without reflection, and hands anything else
-// (null, signs, fractions, exponents, strings, longer numbers) to
-// encoding/json's []int decoder, so accepted inputs, decoded values and
-// error texts are those of a plain []int field. One difference: the
-// fallback's type error ends the document's decode, where []int's is
-// noted and decoding goes on, so when an earlier field of the same
-// document also fails, the list's error is the one reported.
+// IndexList is a cache-set index list. Scanner reads its plain form,
+// an array of unsigned integers; encoding/json decodes it as a plain
+// []int.
 type IndexList []int
-
-// maxFastDigits keeps the fast path's accumulator far from overflow;
-// longer numbers take the encoding/json path and its range errors.
-const maxFastDigits = 15
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (l *IndexList) UnmarshalJSON(data []byte) error {
-	if idx, ok := parseIndexList(data); ok {
-		*l = idx
-		return nil
-	}
-	return json.Unmarshal(data, (*[]int)(l))
-}
-
-// parseIndexList parses data when it is exactly one plain index array;
-// ok=false means "not the plain form", never "invalid".
-func parseIndexList(data []byte) (idx IndexList, ok bool) {
-	if len(data) < 2 || data[0] != '[' {
-		return nil, false
-	}
-	idx = make(IndexList, 0, bytes.Count(data, []byte{','})+1)
-	i := skipSpace(data, 1)
-	if i < len(data) && data[i] == ']' {
-		return idx, i == len(data)-1
-	}
-	for {
-		start, v := i, 0
-		for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
-			v = v*10 + int(data[i]-'0')
-		}
-		if n := i - start; n == 0 || n > maxFastDigits || (n > 1 && data[start] == '0') {
-			return nil, false
-		}
-		idx = append(idx, v)
-		if i = skipSpace(data, i); i >= len(data) {
-			return nil, false
-		}
-		switch data[i] {
-		case ',':
-			i = skipSpace(data, i+1)
-		case ']':
-			return idx, i == len(data)-1
-		default:
-			return nil, false
-		}
-	}
-}
-
-func skipSpace(data []byte, i int) int {
-	for i < len(data) {
-		switch data[i] {
-		case ' ', '\t', '\n', '\r':
-			i++
-		default:
-			return i
-		}
-	}
-	return i
-}
 
 // NewTaskSetJSON returns the wire representation of ts.
 func NewTaskSetJSON(ts *TaskSet) *TaskSetJSON {
@@ -127,10 +62,21 @@ func (ts *TaskSet) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON decodes a task set written by WriteJSON and validates it.
+// The Scanner reads the plain form; anything else, a file with bytes
+// after the set among it, goes to a json.Decoder, which decodes the
+// first value.
 func ReadJSON(r io.Reader) (*TaskSet, error) {
-	var in TaskSetJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("taskmodel: decoding task set: %w", err)
+	}
+	var in TaskSetJSON
+	s := NewScanner(data)
+	if s.TaskSet(&in); !s.End() {
+		in = TaskSetJSON{}
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&in); err != nil {
+			return nil, fmt.Errorf("taskmodel: decoding task set: %w", err)
+		}
 	}
 	return in.TaskSet()
 }
