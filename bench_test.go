@@ -10,13 +10,11 @@ import (
 	"testing"
 
 	buscon "repro"
-	"repro/internal/benchsuite"
 	"repro/internal/core"
 	"repro/internal/crpd"
 	"repro/internal/experiments"
 	"repro/internal/opa"
 	"repro/internal/persistence"
-	"repro/internal/program"
 	"repro/internal/sim"
 	"repro/internal/taskgen"
 	"repro/internal/taskmodel"
@@ -227,45 +225,19 @@ func BenchmarkSimulator(b *testing.B) {
 		TasksPerCore:    3,
 		CoreUtilization: 0.3,
 	}
-	pool, err := taskgen.PoolFromSuite(cfg.Platform.Cache)
+	// The first five small-trace benchmarks keep a bench iteration cheap.
+	pool, err := sim.Pool(sim.SmallBenchmarks[:5], cfg.Platform.Cache)
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Restrict to small-trace benchmarks so a bench iteration stays
-	// cheap.
-	var small []taskgen.TaskParams
-	for _, p := range pool {
-		switch p.Name {
-		case "lcdnum", "cnt", "qurt", "crc", "jfdctint":
-			small = append(small, p)
-		}
-	}
-	ts, err := taskgen.Generate(cfg, small, rand.New(rand.NewSource(3)))
+	w, err := sim.GenerateWorkload(cfg, pool, 3, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var bindings []sim.TaskBinding
-	for _, task := range ts.Tasks {
-		bench, err := benchByName(task.Name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bindings = append(bindings, sim.TaskBinding{Task: task, Prog: bench})
-	}
-	horizon := sim.HorizonForJobs(bindings, 1)
 	benchOp(b, func() error {
-		_, err := sim.Run(cfg.Platform, bindings, sim.Config{Policy: core.RR, Horizon: horizon})
+		_, err := sim.Run(cfg.Platform, w.Bindings, sim.Config{Policy: core.RR, Horizon: w.Horizon})
 		return err
 	})
-}
-
-// benchByName fetches a benchmark program for the simulator bench.
-func benchByName(name string) (*program.Program, error) {
-	b, err := benchsuite.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return b.Prog, nil
 }
 
 // --- extension benches -------------------------------------------------------

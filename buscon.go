@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/benchsuite"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/taskgen"
@@ -205,20 +204,15 @@ type SimulationResult struct {
 // roughly `jobs` jobs of the longest-period task. It is the public
 // entry point to the soundness validation the repository's tests
 // perform: observed response times should stay below Analyze's WCRT
-// bounds. Perfect has no bus to simulate and is rejected with an error.
+// bounds. Binding and horizon come from the campaign driver in
+// internal/sim. Perfect has no bus to simulate and is rejected with an
+// error.
 func SimulateSuite(ts *TaskSet, arbiter Arbiter, jobs int) (*SimulationResult, error) {
-	var bindings []sim.TaskBinding
-	for _, t := range ts.Tasks {
-		b, err := benchsuite.ByName(t.Name)
-		if err != nil {
-			return nil, fmt.Errorf("buscon: task %q is not a suite benchmark: %w", t.Name, err)
-		}
-		bindings = append(bindings, sim.TaskBinding{Task: t, Prog: b.Prog})
+	w, err := sim.NewWorkload(ts, jobs)
+	if err != nil {
+		return nil, fmt.Errorf("buscon: %w", err)
 	}
-	res, err := sim.Run(ts.Platform, bindings, sim.Config{
-		Policy:  arbiter,
-		Horizon: sim.HorizonForJobs(bindings, jobs),
-	})
+	res, err := sim.Run(ts.Platform, w.Bindings, sim.Config{Policy: arbiter, Horizon: w.Horizon})
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@
 // cycle-accurate multicore simulator and the analytical WCRT analysis
 // side by side, and prints observed maxima against the analytical
 // bounds — the repository's executable soundness demonstration
-// ("our simulator is available on demand").
+// ("our simulator is available on demand"). It is the one-workload,
+// synchronous-release view of the campaign driver in internal/sim,
+// whose claim rule decides the soundness verdict.
 //
 // Usage:
 //
@@ -18,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/signal"
 	"text/tabwriter"
@@ -29,11 +30,6 @@ import (
 	"repro/internal/taskgen"
 	"repro/internal/taskmodel"
 )
-
-// smallBenchmarks keeps simulated traces manageable; the bigger suite
-// members (nsichneu, statemate, bsort100...) produce million-cycle
-// jobs that only make sense with -jobs 1.
-var smallBenchmarks = []string{"lcdnum", "cnt", "qurt", "crc", "jfdctint", "ns", "edn"}
 
 // run executes the whole command against explicit streams and returns
 // the process exit code (0 ok, 2 soundness violation, 130
@@ -78,30 +74,16 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		CoreUtilization: *util,
 	}
 
-	names := smallBenchmarks
+	names := sim.SmallBenchmarks
 	if *allBench {
 		names = nil
 		for _, b := range benchsuite.Suite() {
 			names = append(names, b.Name)
 		}
 	}
-	var pool []taskgen.TaskParams
-	progs := map[string]*benchProg{}
-	for _, name := range names {
-		b, err := benchsuite.ByName(name)
-		if err != nil {
-			return 1, err
-		}
-		p, err := benchsuite.Extract(b, cfg.Platform.Cache)
-		if err != nil {
-			return 1, err
-		}
-		r := p.Result
-		pool = append(pool, taskgen.TaskParams{
-			Name: name, PD: r.PD, MD: r.MD, MDr: r.MDr,
-			UCB: r.UCB, ECB: r.ECB, PCB: r.PCB,
-		})
-		progs[name] = &benchProg{bench: b}
+	pool, err := sim.Pool(names, cfg.Platform.Cache)
+	if err != nil {
+		return 1, err
 	}
 
 	// The simulator and analyzer are not context-aware mid-run; honour
@@ -111,89 +93,69 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		return 130, nil
 	}
 
-	ts, err := taskgen.Generate(cfg, pool, rand.New(rand.NewSource(*seed)))
+	w, err := sim.GenerateWorkload(cfg, pool, *seed, *jobs)
 	if err != nil {
 		return 1, err
 	}
 
-	var bindings []sim.TaskBinding
-	for _, task := range ts.Tasks {
-		bindings = append(bindings, sim.TaskBinding{Task: task, Prog: progs[task.Name].bench.Prog})
-	}
-	horizon := sim.HorizonForJobs(bindings, *jobs)
-
 	fmt.Fprintf(stdout, "simulating %d tasks on %d cores, %s bus, horizon %d cycles\n\n",
-		len(bindings), *cores, arbiter, horizon)
+		len(w.Bindings), *cores, arbiter, w.Horizon)
 
 	// Once announced, the simulation always runs to completion (it is
 	// not interruptible mid-cycle) so an interrupt can still report the
 	// observed behaviour below.
-	simCfg := sim.Config{Policy: arbiter, Horizon: horizon}
+	simCfg := sim.Config{Policy: arbiter, Horizon: w.Horizon}
 	if *trace {
 		simCfg.Trace = &sim.WriterTracer{W: stdout}
 	}
-	simRes, err := sim.Run(cfg.Platform, bindings, simCfg)
+	simRes, err := sim.Run(cfg.Platform, w.Bindings, simCfg)
 	if err != nil {
 		return 1, err
 	}
 
 	// An interrupt after the simulation still prints the observed
 	// behaviour; the analytical columns degrade to "n/a".
-	var base, aware *core.Result
-	interrupted := canceled()
-	if !interrupted {
-		if base, err = core.Analyze(ts, core.Config{Arbiter: arbiter, Persistence: false}, core.Options{}); err != nil {
-			return 1, err
+	var res [2]*core.Result // baseline, persistence-aware
+	interrupted := false
+	for k := range res {
+		if interrupted = canceled(); interrupted {
+			break
 		}
-		interrupted = canceled()
-	}
-	if !interrupted {
-		if aware, err = core.Analyze(ts, core.Config{Arbiter: arbiter, Persistence: true}, core.Options{}); err != nil {
+		if res[k], err = core.Analyze(w.TaskSet, core.Config{Arbiter: arbiter, Persistence: k == 1}, core.Options{}); err != nil {
 			return 1, err
 		}
 	}
 
-	boundOf := func(res *core.Result, prio int) string {
-		if res == nil {
+	// boundOf renders the bound of the i-th task (priority order).
+	boundOf := func(r *core.Result, i int) string {
+		switch {
+		case r == nil:
 			return "n/a" // interrupted before this analysis ran
+		case !r.Tasks[i].Verified:
+			return "n/a" // aborted before judging this task
+		case !r.Tasks[i].Schedulable:
+			return "miss"
 		}
-		for _, tr := range res.Tasks {
-			if tr.Priority == prio {
-				switch {
-				case !tr.Verified:
-					return "n/a" // aborted before judging this task
-				case !tr.Schedulable:
-					return "miss"
-				default:
-					return fmt.Sprint(tr.WCRT)
-				}
-			}
-		}
-		return "?"
+		return fmt.Sprint(r.Tasks[i].WCRT)
 	}
 
 	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "task\tcore\tprio\tjobs\tobserved max R\tWCRT (base)\tWCRT (CP)\tmax misses/job\tdeadline misses")
-	violated := false
-	for _, task := range ts.Tasks {
+	for i, task := range w.TaskSet.Tasks {
 		st := simRes.Tasks[task.Priority]
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%s\t%s\t%d\t%d\n",
 			st.Name, st.Core, st.Priority, st.Completed, st.MaxResponse,
-			boundOf(base, task.Priority), boundOf(aware, task.Priority),
-			st.MaxMissesPerJob, st.DeadlineMisses)
-		for _, res := range []*core.Result{base, aware} {
-			if res == nil || !res.Complete {
-				continue // bounds are missing or mid-iteration estimates, not claims
-			}
-			for _, tr := range res.Tasks {
-				if tr.Priority == task.Priority && tr.Schedulable && st.MaxResponse > tr.WCRT {
-					violated = true
-				}
-			}
-		}
+			boundOf(res[0], i), boundOf(res[1], i), st.MaxMissesPerJob, st.DeadlineMisses)
 	}
 	if err := tw.Flush(); err != nil {
 		return 1, err
+	}
+	violated := false
+	for _, r := range res {
+		if r != nil {
+			_, vs := sim.Check(r, simRes)
+			violated = violated || len(vs) > 0
+		}
 	}
 
 	fmt.Fprintf(stdout, "\nbus: %d accesses served, busy %d of %d cycles (%.1f%%)\n",
@@ -208,12 +170,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		return 130, nil
 	}
 	fmt.Fprintf(stdout, "analysis verdicts: baseline schedulable=%v, persistence-aware schedulable=%v\n",
-		base.Schedulable, aware.Schedulable)
+		res[0].Schedulable, res[1].Schedulable)
 	fmt.Fprintln(stdout, "soundness: all observed response times within claimed WCRT bounds")
 	return 0, nil
 }
-
-type benchProg struct{ bench benchsuite.Benchmark }
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

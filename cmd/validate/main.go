@@ -4,7 +4,9 @@
 // analytical WCRT bounds of the baseline and persistence-aware
 // analyses. Any observed response time above a claimed bound, or any
 // deadline miss in a set declared schedulable, is a soundness
-// violation and fails the run.
+// violation and fails the run. It is the campaign view of the driver
+// in internal/sim: pool, bindings, release modes and claim rule all
+// come from there, and each analysis runs once per workload.
 //
 // Usage:
 //
@@ -20,19 +22,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/signal"
 
-	"repro/internal/benchsuite"
 	"repro/internal/core"
 	"repro/internal/persistence"
 	"repro/internal/sim"
 	"repro/internal/taskgen"
 	"repro/internal/taskmodel"
 )
-
-var smallBenchmarks = []string{"lcdnum", "cnt", "qurt", "crc", "jfdctint", "ns", "edn"}
 
 // run executes the whole campaign against explicit streams and
 // returns the process exit code (0 ok, 2 violations found, 130
@@ -68,27 +66,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		TasksPerCore:    *perCore,
 		CoreUtilization: *util,
 	}
-	var pool []taskgen.TaskParams
-	progs := map[string]*benchsuite.Benchmark{}
-	for _, name := range smallBenchmarks {
-		b, err := benchsuite.ByName(name)
-		if err != nil {
-			return 1, err
-		}
-		p, err := benchsuite.Extract(b, cfg.Platform.Cache)
-		if err != nil {
-			return 1, err
-		}
-		r := p.Result
-		pool = append(pool, taskgen.TaskParams{
-			Name: name, PD: r.PD, MD: r.MD, MDr: r.MDr,
-			UCB: r.UCB, ECB: r.ECB, PCB: r.PCB,
-		})
-		bb := b
-		progs[name] = &bb
+	pool, err := sim.Pool(sim.SmallBenchmarks, cfg.Platform.Cache)
+	if err != nil {
+		return 1, err
 	}
 
-	arbiters := []core.Arbiter{core.FP, core.RR, core.TDMA, core.Regulated, core.ParAware}
+	// Each arbiter is simulated in the order it first appears here.
 	analyses := []core.Config{
 		{Arbiter: core.FP}, {Arbiter: core.FP, Persistence: true},
 		{Arbiter: core.RR}, {Arbiter: core.RR, Persistence: true},
@@ -110,57 +93,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		if canceled() {
 			break
 		}
-		ts, err := taskgen.Generate(cfg, pool, rand.New(rand.NewSource(seed)))
+		w, err := sim.GenerateWorkload(cfg, pool, seed, *jobs)
 		if err != nil {
 			return 1, err
 		}
-		var bindings []sim.TaskBinding
-		for _, task := range ts.Tasks {
-			bindings = append(bindings, sim.TaskBinding{Task: task, Prog: progs[task.Name].Prog})
-		}
-		horizon := sim.HorizonForJobs(bindings, *jobs)
-
-		for _, arb := range arbiters {
-			modes := []sim.Config{{Policy: arb, Horizon: horizon}}
-			if *jitter > 0 {
-				modes = append(modes, sim.Config{
-					Policy: arb, Horizon: horizon, ArrivalJitter: *jitter, Seed: seed,
-				})
+		err = w.Sweep(analyses, w.Modes(seed, *jitter), func(_ sim.Config, ana core.Config, checked int, vs []sim.Violation) {
+			if checked > 0 {
+				claimed++
 			}
-			offsets := map[int]taskmodel.Time{}
-			for i, task := range ts.Tasks {
-				offsets[task.Priority] = taskmodel.Time((seed*131 + int64(i)*89) % 400)
+			checks += checked
+			for _, v := range vs {
+				violations++
+				fmt.Fprintf(stdout, "VIOLATION seed=%d %v persistence=%v task=%s observed=%d bound=%d misses=%d\n",
+					seed, ana.Arbiter, ana.Persistence, v.Task, v.Observed, v.Bound, v.DeadlineMisses)
 			}
-			modes = append(modes, sim.Config{Policy: arb, Horizon: horizon, Offsets: offsets})
-
-			for _, mode := range modes {
-				simRes, err := sim.Run(ts.Platform, bindings, mode)
-				if err != nil {
-					return 1, err
-				}
-				for _, ana := range analyses {
-					if ana.Arbiter != arb {
-						continue
-					}
-					res, err := core.Analyze(ts, ana, core.Options{})
-					if err != nil {
-						return 1, err
-					}
-					if !res.Schedulable {
-						continue
-					}
-					claimed++
-					for _, tr := range res.Tasks {
-						st := simRes.Tasks[tr.Priority]
-						checks++
-						if st.MaxResponse > tr.WCRT || st.DeadlineMisses > 0 {
-							violations++
-							fmt.Fprintf(stdout, "VIOLATION seed=%d %v persistence=%v task=%s observed=%d bound=%d misses=%d\n",
-								seed, ana.Arbiter, ana.Persistence, st.Name, st.MaxResponse, tr.WCRT, st.DeadlineMisses)
-						}
-					}
-				}
-			}
+		})
+		if err != nil {
+			return 1, err
 		}
 		completed++
 	}

@@ -50,7 +50,9 @@ type hashWriter struct {
 	h   hash.Hash
 	buf [8]byte
 	// tmp stages multi-word writes (set, setWords) so each set costs
-	// one Write call instead of one per element.
+	// one Write call instead of one per element. Writers append to a
+	// local copy and store it back once per call: while a GC runs, every
+	// store of this pointer field takes a write barrier.
 	tmp []byte
 }
 
@@ -69,8 +71,9 @@ func (w *hashWriter) boolean(b bool) {
 }
 
 func (w *hashWriter) str(s string) {
-	w.tmp = append(binary.LittleEndian.AppendUint64(w.tmp[:0], uint64(len(s))), s...)
-	w.h.Write(w.tmp)
+	tmp := append(binary.LittleEndian.AppendUint64(w.tmp[:0], uint64(len(s))), s...)
+	w.h.Write(tmp)
+	w.tmp = tmp
 }
 
 // set hashes a set as its member count followed by each member index
@@ -78,15 +81,16 @@ func (w *hashWriter) str(s string) {
 // encoding. The bytes are staged in tmp straight from the backing words
 // and written once per set.
 func (w *hashWriter) set(s cacheset.Set) {
-	w.tmp = binary.LittleEndian.AppendUint64(w.tmp[:0], 0) // count, patched below
+	tmp := binary.LittleEndian.AppendUint64(w.tmp[:0], 0) // count, patched below
 	for wi, word := range s.Words() {
 		for word != 0 {
-			w.tmp = binary.LittleEndian.AppendUint64(w.tmp, uint64(wi*64+bits.TrailingZeros64(word)))
+			tmp = binary.LittleEndian.AppendUint64(tmp, uint64(wi*64+bits.TrailingZeros64(word)))
 			word &= word - 1
 		}
 	}
-	binary.LittleEndian.PutUint64(w.tmp, uint64(len(w.tmp)/8-1))
-	w.h.Write(w.tmp)
+	binary.LittleEndian.PutUint64(tmp, uint64(len(tmp)/8-1))
+	w.h.Write(tmp)
+	w.tmp = tmp
 }
 
 // setWords hashes a set's exact contents via its backing bit words —
@@ -96,11 +100,12 @@ func (w *hashWriter) set(s cacheset.Set) {
 // published request-key encoding is untouched.
 func (w *hashWriter) setWords(s cacheset.Set) {
 	w.u64(uint64(s.Capacity()))
-	w.tmp = w.tmp[:0]
+	tmp := w.tmp[:0]
 	for _, word := range s.Words() {
-		w.tmp = binary.LittleEndian.AppendUint64(w.tmp, word)
+		tmp = binary.LittleEndian.AppendUint64(tmp, word)
 	}
-	w.h.Write(w.tmp)
+	w.h.Write(tmp)
+	w.tmp = tmp
 }
 
 // setWordsSparse hashes a set via its nonzero backing words only, as
@@ -108,18 +113,19 @@ func (w *hashWriter) setWords(s cacheset.Set) {
 // scales with the footprint's spread rather than the cache geometry.
 // Injective for a fixed capacity: the nonzero words determine the set.
 func (w *hashWriter) setWordsSparse(s cacheset.Set) {
-	w.tmp = w.tmp[:0]
+	tmp := w.tmp[:0]
 	n := uint64(0)
 	for i, word := range s.Words() {
 		if word != 0 {
-			w.tmp = binary.LittleEndian.AppendUint64(w.tmp, uint64(i))
-			w.tmp = binary.LittleEndian.AppendUint64(w.tmp, word)
+			tmp = binary.LittleEndian.AppendUint64(tmp, uint64(i))
+			tmp = binary.LittleEndian.AppendUint64(tmp, word)
 			n++
 		}
 	}
 	w.u64(uint64(s.Capacity()))
 	w.u64(n)
-	w.h.Write(w.tmp)
+	w.h.Write(tmp)
+	w.tmp = tmp
 }
 
 func (w *hashWriter) cache(c taskmodel.CacheConfig) {

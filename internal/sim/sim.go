@@ -63,12 +63,6 @@ type Config struct {
 	// Trace, when non-nil, receives every simulator event (releases,
 	// misses, bus grants, preemptions, completions).
 	Trace Tracer
-	// NonPreemptive runs each core's jobs to completion before
-	// dispatching the next one (still highest-priority-first at
-	// dispatch). The paper's analysis covers preemptive scheduling
-	// only; this mode supports experimentation with the related-work
-	// model (Kelter et al., Dasari et al.).
-	NonPreemptive bool
 }
 
 // TaskStats aggregates per-task observations.
@@ -84,59 +78,6 @@ type TaskStats struct {
 	Hits            int64 // L1 hits
 	L2Hits          int64 // L1 misses satisfied by the L2
 	MaxMissesPerJob int64
-	// Responses records every completed job's response time, in
-	// completion order, for distribution analysis.
-	Responses []taskmodel.Time
-}
-
-// Percentile returns the p-quantile (0 <= p <= 1) of the observed
-// response times using nearest-rank on the sorted sample; 0 if no job
-// completed. The rank is the smallest r in [1, n] whose empirical CDF
-// value float64(r)/float64(n) covers p, so a p computed as r/n (the
-// common case) maps back to exactly rank r — no epsilon fudge, no
-// misranking when p·n lands near an integer boundary.
-func (s *TaskStats) Percentile(p float64) taskmodel.Time {
-	if len(s.Responses) == 0 {
-		return 0
-	}
-	sorted := append([]taskmodel.Time(nil), s.Responses...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	n := len(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[n-1]
-	}
-	r := int(math.Ceil(p * float64(n)))
-	if r < 1 {
-		r = 1
-	}
-	if r > n {
-		r = n
-	}
-	// The product p·n rounds, so correct against the defining
-	// inequality r/n >= p directly; each loop moves at most one rank.
-	for r > 1 && float64(r-1)/float64(n) >= p {
-		r--
-	}
-	for r < n && float64(r)/float64(n) < p {
-		r++
-	}
-	return sorted[r-1]
-}
-
-// MeanResponse returns the average observed response time (0 if no
-// job completed).
-func (s *TaskStats) MeanResponse() float64 {
-	if len(s.Responses) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, r := range s.Responses {
-		sum += int64(r)
-	}
-	return float64(sum) / float64(len(s.Responses))
 }
 
 // Result is the outcome of a simulation run.
@@ -166,11 +107,10 @@ func (j *job) done() bool { return j.pos >= len(j.trace) && j.compute == 0 }
 
 // coreState is the per-core scheduler and cache hierarchy.
 type coreState struct {
-	cache   *cachesim.Cache
-	l2      *cachesim.Cache // nil without a second level
-	dl2     int64           // L1-miss/L2-hit latency
-	ready   []*job          // ordered by priority (ascending value first)
-	running *job            // pinned job under non-preemptive scheduling
+	cache *cachesim.Cache
+	l2    *cachesim.Cache // nil without a second level
+	dl2   int64           // L1-miss/L2-hit latency
+	ready []*job          // ordered by priority (ascending value first)
 }
 
 func (c *coreState) insert(j *job) {
@@ -253,11 +193,8 @@ func Run(plat taskmodel.Platform, bindings []TaskBinding, cfg Config) (*Result, 
 		nextRelease[i] = cfg.Offsets[bindings[i].Task.Priority]
 	}
 	interArrival := func(t *taskmodel.Task) taskmodel.Time {
-		if cfg.ArrivalJitter <= 0 {
-			return t.Period
-		}
 		maxExtra := int64(cfg.ArrivalJitter * float64(t.Period))
-		if maxExtra <= 0 {
+		if maxExtra <= 0 { // periodic, or no room to stretch
 			return t.Period
 		}
 		return t.Period + taskmodel.Time(rng.Int63n(maxExtra+1))
@@ -266,10 +203,10 @@ func Run(plat taskmodel.Platform, bindings []TaskBinding, cfg Config) (*Result, 
 	for now := taskmodel.Time(0); now < cfg.Horizon; now++ {
 		// 1. Releases.
 		for i := range bindings {
-			t := bindings[i].Task
 			if now != nextRelease[i] {
 				continue
 			}
+			t := bindings[i].Task
 			nextRelease[i] = now + interArrival(t)
 			st := res.Tasks[t.Priority]
 			st.Released++
@@ -281,7 +218,7 @@ func Run(plat taskmodel.Platform, bindings []TaskBinding, cfg Config) (*Result, 
 				trace:    traces[i],
 			}
 			c := cores[t.Core]
-			preempted := !cfg.NonPreemptive && len(c.ready) > 0 && c.ready[0].binding.Task.Priority > t.Priority
+			preempted := len(c.ready) > 0 && c.ready[0].binding.Task.Priority > t.Priority
 			c.insert(nj)
 			emit(cfg.Trace, Event{Time: now, Kind: EvRelease, Task: t.Name, Priority: t.Priority, Core: t.Core})
 			if preempted {
@@ -301,12 +238,6 @@ func Run(plat taskmodel.Platform, bindings []TaskBinding, cfg Config) (*Result, 
 				continue
 			}
 			j := c.ready[0]
-			if cfg.NonPreemptive {
-				if c.running == nil || c.running.done() {
-					c.running = j // dispatch: highest priority ready job
-				}
-				j = c.running
-			}
 			if j.waiting {
 				continue // stalled on its own outstanding fetch
 			}
@@ -339,7 +270,7 @@ func Run(plat taskmodel.Platform, bindings []TaskBinding, cfg Config) (*Result, 
 			}
 			emit(cfg.Trace, Event{
 				Time: now, Kind: EvBusComplete, Core: done.core,
-				Task: taskNameByPriority(res, done.priority), Priority: done.priority,
+				Task: res.Tasks[done.priority].Name, Priority: done.priority,
 				Value: int64(done.block),
 			})
 			if w := waitingJob[done.core]; w != nil {
@@ -423,7 +354,6 @@ func (c *coreState) step(j *job, ci int, b *bus, res *Result, waitingJob []*job,
 	if j.done() {
 		j.stats.Completed++
 		resp := now + 1 - j.release
-		j.stats.Responses = append(j.stats.Responses, resp)
 		if resp > j.stats.MaxResponse {
 			j.stats.MaxResponse = resp
 		}
@@ -438,19 +368,7 @@ func (c *coreState) step(j *job, ci int, b *bus, res *Result, waitingJob []*job,
 			Value: int64(resp),
 		})
 		c.remove(j)
-		if c.running == j {
-			c.running = nil
-		}
 	}
-}
-
-// taskNameByPriority resolves a priority to its task name for trace
-// output.
-func taskNameByPriority(res *Result, prio int) string {
-	if st, ok := res.Tasks[prio]; ok {
-		return st.Name
-	}
-	return fmt.Sprintf("prio%d", prio)
 }
 
 // HorizonForJobs returns a horizon long enough for roughly k jobs of

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/benchsuite"
 	"repro/internal/cacheset"
 	"repro/internal/core"
 	"repro/internal/program"
@@ -206,52 +205,6 @@ func TestHorizonForJobsRejectsDegenerateSets(t *testing.T) {
 	mustPanic("k = 0", func() { HorizonForJobs([]TaskBinding{soloBinding(100)}, 0) })
 }
 
-// TestPercentileNearestRankBoundaries pins the exact nearest-rank
-// contract on the boundary grid of the former float-fudge bug:
-// p ∈ {0, 1/n, 0.5, (n-1)/n, 1} for n ∈ {1, 2, 3, 100}. The samples
-// are 10·rank, so the expected quantile directly names the expected
-// rank.
-func TestPercentileNearestRankBoundaries(t *testing.T) {
-	stats := func(n int) *TaskStats {
-		s := &TaskStats{}
-		// Insert out of order; Percentile sorts a copy.
-		for i := n - 1; i >= 0; i-- {
-			s.Responses = append(s.Responses, taskmodel.Time(10*(i+1)))
-		}
-		return s
-	}
-	rank := func(n int, r int) taskmodel.Time { return taskmodel.Time(10 * r) }
-	for _, tc := range []struct {
-		n    int
-		p    float64
-		want int // expected rank in [1, n]
-	}{
-		{1, 0, 1}, {1, 1.0 / 1, 1}, {1, 0.5, 1}, {1, 0.0 / 1, 1}, {1, 1, 1},
-		{2, 0, 1}, {2, 1.0 / 2, 1}, {2, 0.5, 1}, {2, 1.0 / 2, 1}, {2, 1, 2},
-		{3, 0, 1}, {3, 1.0 / 3, 1}, {3, 0.5, 2}, {3, 2.0 / 3, 2}, {3, 1, 3},
-		{100, 0, 1}, {100, 1.0 / 100, 1}, {100, 0.5, 50}, {100, 99.0 / 100, 99}, {100, 1, 100},
-	} {
-		got := stats(tc.n).Percentile(tc.p)
-		if want := rank(tc.n, tc.want); got != want {
-			t.Errorf("n=%d p=%v: got %d, want rank %d (%d)", tc.n, tc.p, got, tc.want, want)
-		}
-	}
-	// Out-of-range p clamps to the extremes.
-	s := stats(3)
-	if got := s.Percentile(-0.5); got != 10 {
-		t.Errorf("p=-0.5: got %d, want the minimum", got)
-	}
-	if got := s.Percentile(1.5); got != 30 {
-		t.Errorf("p=1.5: got %d, want the maximum", got)
-	}
-	// Just above a rank boundary the next rank must be charged: the
-	// old +0.999999 fudge returned rank 1 here, under-reporting the
-	// quantile.
-	if got := stats(100).Percentile(0.0100001); got != 20 {
-		t.Errorf("p just above 1/100: got %d, want rank 2", got)
-	}
-}
-
 // TestRunRejectsUnsimulatableArbiter pins Run's up-front check: the
 // contention-free Perfect bus and undeclared arbiter values have no bus
 // model, so Run must fail before simulating instead of panicking at the
@@ -271,64 +224,40 @@ func TestRunRejectsUnsimulatableArbiter(t *testing.T) {
 	}
 }
 
-// The simulator tests reuse the generator pipeline below; these tests
-// bind generated tasks to the very programs their parameters were
-// extracted from, then check the analytical WCRTs dominate every
-// observed response time. See soundness_test.go.
-
-func poolAndPrograms(t *testing.T, cache taskmodel.CacheConfig, names []string) ([]taskgen.TaskParams, map[string]*program.Program) {
+// testWorkload generates and binds the workload of seed through the
+// campaign driver, from the first five small benchmarks (in that order)
+// on a platform with a regulated-bus budget, over about jobs jobs of
+// the longest-period task. See soundness_test.go.
+func testWorkload(t *testing.T, seed int64, util float64, cores, perCore, jobs int) *Workload {
 	t.Helper()
-	progs := map[string]*program.Program{}
-	var pool []taskgen.TaskParams
-	for _, name := range names {
-		b, err := benchsuite.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := benchsuite.Extract(b, cache)
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs[name] = b.Prog
-		r := p.Result
-		pool = append(pool, taskgen.TaskParams{
-			Name: name, PD: r.PD, MD: r.MD, MDr: r.MDr,
-			UCB: r.UCB, ECB: r.ECB, PCB: r.PCB,
-		})
-	}
-	return pool, progs
-}
-
-func generateBindings(t *testing.T, seed int64, util float64, cores, perCore int) (taskmodel.Platform, []TaskBinding) {
-	t.Helper()
-	cfg := taskgen.Config{
+	gen := taskgen.Config{
 		Platform: taskmodel.Platform{
-			NumCores: cores,
-			Cache:    taskmodel.CacheConfig{NumSets: 64, BlockSizeBytes: 32},
-			DMem:     5,
-			SlotSize: 2,
+			NumCores:  cores,
+			Cache:     taskmodel.CacheConfig{NumSets: 64, BlockSizeBytes: 32},
+			DMem:      5,
+			SlotSize:  2,
+			RegBudget: 4,
+			RegPeriod: 150,
 		},
 		TasksPerCore:    perCore,
 		CoreUtilization: util,
 	}
-	pool, progs := poolAndPrograms(t, cfg.Platform.Cache,
-		[]string{"lcdnum", "cnt", "qurt", "crc", "jfdctint"})
-	ts, err := taskgen.Generate(cfg, pool, rand.New(rand.NewSource(seed)))
+	pool, err := Pool(SmallBenchmarks[:5], gen.Platform.Cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bindings []TaskBinding
-	for _, task := range ts.Tasks {
-		bindings = append(bindings, TaskBinding{Task: task, Prog: progs[task.Name]})
+	w, err := GenerateWorkload(gen, pool, seed, jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return cfg.Platform, bindings
+	return w
 }
 
 func TestGeneratedWorkloadRuns(t *testing.T) {
-	plat, bindings := generateBindings(t, 3, 0.3, 2, 3)
-	horizon := HorizonForJobs(bindings, 2)
+	w := testWorkload(t, 3, 0.3, 2, 3, 2)
+	horizon := w.Horizon
 	for _, pol := range []core.Arbiter{core.FP, core.RR, core.TDMA} {
-		res, err := Run(plat, bindings, Config{Policy: pol, Horizon: horizon})
+		res, err := Run(w.TaskSet.Platform, w.Bindings, Config{Policy: pol, Horizon: horizon})
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -427,92 +356,5 @@ func TestTwoLevelWithinHierarchyAnalysisBound(t *testing.T) {
 			t.Fatalf("seed %d: observed %d > hierarchy bound %d (PD=%d MD=%d L1m=%d)",
 				seed, st.MaxResponse, bound, h.PD, h.MD, h.L1Misses)
 		}
-	}
-}
-
-func TestNonPreemptiveBlocksHighPriority(t *testing.T) {
-	n := 4
-	plat := taskmodel.Platform{
-		NumCores: 1,
-		Cache:    taskmodel.CacheConfig{NumSets: n, BlockSizeBytes: 32},
-		DMem:     2,
-		SlotSize: 1,
-	}
-	hi := &taskmodel.Task{
-		Name: "hi", Core: 0, Priority: 0,
-		PD: 4, MD: 2, MDr: 0, Period: 100, Deadline: 100,
-		ECB: cacheset.Of(n, 0, 1), UCB: cacheset.New(n), PCB: cacheset.Of(n, 0, 1),
-	}
-	lo := &taskmodel.Task{
-		Name: "lo", Core: 0, Priority: 1,
-		PD: 200, MD: 2, MDr: 0, Period: 1000, Deadline: 1000,
-		ECB: cacheset.Of(n, 2, 3), UCB: cacheset.New(n), PCB: cacheset.Of(n, 2, 3),
-	}
-	bindings := []TaskBinding{
-		{hi, &program.Program{Name: "hi", Root: program.Straight(0, 2, 2)}},
-		{lo, &program.Program{Name: "lo", Root: program.L(50, program.Straight(2, 2, 2))}},
-	}
-	// Offset the low task so it starts first and then blocks hi's next
-	// releases under non-preemptive dispatch.
-	col := &CollectTracer{}
-	np, err := Run(plat, bindings, Config{
-		Policy: core.FP, Horizon: 1000, NonPreemptive: true, Trace: col,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range col.Events {
-		if e.Kind == EvPreempt {
-			t.Fatalf("preemption event under non-preemptive scheduling: %+v", e)
-		}
-	}
-	p, err := Run(plat, bindings, Config{Policy: core.FP, Horizon: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The long low-priority job blocks hi far beyond its preemptive
-	// response time.
-	if np.Tasks[0].MaxResponse <= p.Tasks[0].MaxResponse {
-		t.Errorf("NP hi response %d not above preemptive %d",
-			np.Tasks[0].MaxResponse, p.Tasks[0].MaxResponse)
-	}
-	// The low task, conversely, never suffers preemption reloads.
-	if np.Tasks[1].MaxMissesPerJob > p.Tasks[1].MaxMissesPerJob {
-		t.Errorf("NP lo misses/job %d above preemptive %d",
-			np.Tasks[1].MaxMissesPerJob, p.Tasks[1].MaxMissesPerJob)
-	}
-}
-
-func TestResponseDistribution(t *testing.T) {
-	plat := soloPlatform(1, 5)
-	bind := soloBinding(100)
-	res, err := Run(plat, []TaskBinding{bind}, Config{Policy: core.FP, Horizon: 450})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Tasks[0]
-	// Jobs: cold 32, then warm 12s.
-	if len(st.Responses) != int(st.Completed) {
-		t.Fatalf("recorded %d responses for %d completions", len(st.Responses), st.Completed)
-	}
-	if st.Responses[0] != 32 {
-		t.Errorf("first response = %d, want 32", st.Responses[0])
-	}
-	if got := st.Percentile(0); got != 12 {
-		t.Errorf("P0 = %d, want 12", got)
-	}
-	if got := st.Percentile(1); got != 32 {
-		t.Errorf("P100 = %d, want 32", got)
-	}
-	if got := st.Percentile(0.5); got != 12 {
-		t.Errorf("median = %d, want 12 (four of five jobs are warm)", got)
-	}
-	mean := st.MeanResponse()
-	if mean <= 12 || mean >= 32 {
-		t.Errorf("mean = %g, want strictly between 12 and 32", mean)
-	}
-	var empty TaskStats
-	if empty.Percentile(0.5) != 0 || empty.MeanResponse() != 0 {
-		t.Error("empty stats must report zeros")
 	}
 }

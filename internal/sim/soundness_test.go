@@ -9,179 +9,135 @@ import (
 )
 
 // TestAnalysisDominatesSimulation is the repository's end-to-end
-// soundness check: for randomly generated workloads whose tasks run
-// the very programs their parameters were extracted from, the
-// analytical WCRT bound of every analysis variant must dominate the
-// largest response time observed in simulation — including the
-// persistence-aware variants, whose bounds are tighter.
+// soundness check, run on the campaign driver: for randomly generated
+// workloads whose tasks run the very programs their parameters were
+// extracted from, every bound claimed by an analysis variant of every
+// simulated arbiter must dominate the largest response time observed
+// in simulation — including the persistence-aware variants, whose
+// bounds are tighter. The analysis assumes neither task phasing nor
+// more than the minimum separation T, so the bounds must hold under
+// skewed first releases and stretched sporadic arrivals too.
 func TestAnalysisDominatesSimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation soundness sweep skipped in -short mode")
 	}
-	for seed := int64(0); seed < 12; seed++ {
-		util := 0.15 + 0.05*float64(seed%5)
-		plat, bindings := generateBindings(t, seed, util, 2, 3)
-		tasks := make([]*taskmodel.Task, len(bindings))
-		for i := range bindings {
-			tasks[i] = bindings[i].Task
+	var analyses []core.Config
+	for _, arb := range core.Arbiters() {
+		if arb == core.Perfect {
+			continue // no bus to simulate
 		}
-		ts := taskmodel.NewTaskSet(plat, tasks)
-		horizon := HorizonForJobs(bindings, 3)
-		if horizon > 5_000_000 {
-			continue // keep the sweep fast
-		}
-		for _, arb := range []core.Arbiter{core.FP, core.RR, core.TDMA} {
-			simRes, err := Run(plat, bindings, Config{Policy: arb, Horizon: horizon})
-			if err != nil {
-				t.Fatalf("seed %d %v: sim: %v", seed, arb, err)
-			}
-			for _, anaCfg := range []core.Config{
-				{Arbiter: arb},
-				{Arbiter: arb, Persistence: true},
-				{Arbiter: arb, Persistence: true, CPRO: persistence.MultisetUnion},
-			} {
-				persistenceOn := anaCfg.Persistence
-				anaRes, err := core.Analyze(ts, anaCfg, core.Options{})
+		analyses = append(analyses,
+			core.Config{Arbiter: arb},
+			core.Config{Arbiter: arb, Persistence: true},
+			core.Config{Arbiter: arb, Persistence: true, CPRO: persistence.MultisetUnion})
+	}
+	for _, tc := range []struct {
+		name     string
+		seeds    int64 // case seeds 0..seeds-1
+		drawBase int64 // the workload of case seed s is drawn with seed drawBase+s
+		util     func(seed int64) float64
+		jobs     int
+		modes    func(w *Workload, seed int64) []Config
+	}{
+		{
+			name: "synchronous", seeds: 12,
+			util: func(seed int64) float64 { return 0.15 + 0.05*float64(seed%5) },
+			jobs: 3,
+			modes: func(w *Workload, _ int64) []Config {
+				return []Config{{Horizon: w.Horizon}}
+			},
+		},
+		{
+			name: "offsets", seeds: 6, drawBase: 100,
+			util: func(int64) float64 { return 0.25 },
+			jobs: 3,
+			modes: func(w *Workload, seed int64) []Config {
+				at := func(i int64) taskmodel.Time { return taskmodel.Time((seed*37 + i*113) % 500) }
+				return []Config{{Horizon: w.Horizon, Offsets: w.Offsets(at)}}
+			},
+		},
+		{
+			name: "sporadic", seeds: 6, drawBase: 200,
+			util: func(int64) float64 { return 0.25 },
+			jobs: 4,
+			modes: func(w *Workload, seed int64) []Config {
+				var modes []Config
+				for _, jitter := range []float64{0.1, 0.5, 1.0} {
+					modes = append(modes, Config{Horizon: w.Horizon, ArrivalJitter: jitter, Seed: seed})
+				}
+				return modes
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			claims := map[core.Arbiter]int{}
+			for seed := int64(0); seed < tc.seeds; seed++ {
+				w := testWorkload(t, tc.drawBase+seed, tc.util(seed), 2, 3, tc.jobs)
+				if w.Horizon > 5_000_000 {
+					continue // keep the sweep fast
+				}
+				err := w.Sweep(analyses, tc.modes(w, seed), func(mode Config, ana core.Config, checked int, vs []Violation) {
+					claims[ana.Arbiter] += checked
+					for _, v := range vs {
+						t.Errorf("seed %d %v (persistence=%v cpro=%v) jitter=%g offsets=%v task %s: observed %d > WCRT bound %d, %d deadline misses",
+							seed, ana.Arbiter, ana.Persistence, ana.CPRO, mode.ArrivalJitter, mode.Offsets != nil,
+							v.Task, v.Observed, v.Bound, v.DeadlineMisses)
+					}
+				})
 				if err != nil {
-					t.Fatalf("seed %d %v: analysis: %v", seed, arb, err)
-				}
-				if !anaRes.Schedulable {
-					continue // no bound claimed
-				}
-				bound := map[int]taskmodel.Time{}
-				for _, tr := range anaRes.Tasks {
-					bound[tr.Priority] = tr.WCRT
-				}
-				for prio, st := range simRes.Tasks {
-					if st.Completed == 0 {
-						continue
-					}
-					if st.MaxResponse > bound[prio] {
-						t.Errorf("seed %d u=%.2f %v (persistence=%v) task %s: observed %d > WCRT bound %d",
-							seed, util, arb, persistenceOn, st.Name, st.MaxResponse, bound[prio])
-					}
-					if st.DeadlineMisses > 0 {
-						t.Errorf("seed %d u=%.2f %v (persistence=%v) task %s: %d deadline misses despite schedulable verdict",
-							seed, util, arb, persistenceOn, st.Name, st.DeadlineMisses)
-					}
+					t.Fatalf("seed %d: %v", seed, err)
 				}
 			}
-		}
-	}
-}
-
-// TestAnalysisDominatesSimulationWithOffsets repeats the soundness
-// check with skewed first releases: the analysis makes no assumption
-// about task phasing, so the bound must hold for arbitrary offsets too.
-func TestAnalysisDominatesSimulationWithOffsets(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation soundness sweep skipped in -short mode")
-	}
-	for seed := int64(0); seed < 6; seed++ {
-		plat, bindings := generateBindings(t, seed+100, 0.25, 2, 3)
-		tasks := make([]*taskmodel.Task, len(bindings))
-		offsets := map[int]taskmodel.Time{}
-		for i := range bindings {
-			tasks[i] = bindings[i].Task
-			offsets[tasks[i].Priority] = taskmodel.Time((seed*37 + int64(i)*113) % 500)
-		}
-		ts := taskmodel.NewTaskSet(plat, tasks)
-		horizon := HorizonForJobs(bindings, 3)
-		if horizon > 5_000_000 {
-			continue
-		}
-		simRes, err := Run(plat, bindings, Config{Policy: core.RR, Horizon: horizon, Offsets: offsets})
-		if err != nil {
-			t.Fatalf("seed %d: sim: %v", seed, err)
-		}
-		anaRes, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true}, core.Options{})
-		if err != nil {
-			t.Fatalf("seed %d: analysis: %v", seed, err)
-		}
-		if !anaRes.Schedulable {
-			continue
-		}
-		bound := map[int]taskmodel.Time{}
-		for _, tr := range anaRes.Tasks {
-			bound[tr.Priority] = tr.WCRT
-		}
-		for prio, st := range simRes.Tasks {
-			if st.Completed > 0 && st.MaxResponse > bound[prio] {
-				t.Errorf("seed %d task %s: observed %d > WCRT bound %d (offset run)",
-					seed, st.Name, st.MaxResponse, bound[prio])
+			for _, arb := range core.Arbiters() {
+				if arb != core.Perfect && claims[arb] == 0 {
+					t.Errorf("%v: no bound claimed in any workload, so nothing was checked", arb)
+				}
 			}
-		}
+		})
 	}
 }
 
 // TestSimulatedMissesWithinAnalyticalDemand checks the memory-demand
-// side: over a window with no preemption (solo task), per-job misses
-// never exceed MD, and warm jobs never exceed MD^r.
+// side against the analysis' own function: each small benchmark, run
+// alone for five jobs, is served at most M̂D(n) =
+// persistence.MDHat(task, n) bus accesses over its n released jobs
+// (Eq. 10, Lemma 1).
 func TestSimulatedMissesWithinAnalyticalDemand(t *testing.T) {
-	plat, bindings := generateBindings(t, 42, 0.2, 1, 1)
-	b := bindings[0]
-	horizon := b.Task.Period * 4
-	res, err := Run(plat, bindings, Config{Policy: core.FP, Horizon: horizon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Tasks[b.Task.Priority]
-	if st.Completed < 2 {
-		t.Fatalf("completed = %d, want >= 2", st.Completed)
-	}
-	if st.MaxMissesPerJob > b.Task.MD {
-		t.Errorf("max misses per job %d > MD %d", st.MaxMissesPerJob, b.Task.MD)
-	}
-	// Total misses over k jobs bounded by Eq. (10): MD for the first
-	// plus MD^r for each later job, plus nothing else (solo task).
-	maxTotal := b.Task.MD + (st.Completed-1)*b.Task.MDr
-	if st.Misses > maxTotal {
-		t.Errorf("total misses %d > M̂D bound %d", st.Misses, maxTotal)
-	}
-}
-
-// TestAnalysisDominatesSimulationSporadic fuzzes arrivals: sporadic
-// releases with random inter-arrival stretching must stay within the
-// analytical bounds, which assume only the minimum separation T.
-func TestAnalysisDominatesSimulationSporadic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation soundness sweep skipped in -short mode")
-	}
-	for seed := int64(0); seed < 6; seed++ {
-		plat, bindings := generateBindings(t, seed+200, 0.25, 2, 3)
-		tasks := make([]*taskmodel.Task, len(bindings))
-		for i := range bindings {
-			tasks[i] = bindings[i].Task
+	for _, sets := range []int{64, 256} {
+		plat := taskmodel.Platform{
+			NumCores: 1,
+			Cache:    taskmodel.CacheConfig{NumSets: sets, BlockSizeBytes: 32},
+			DMem:     5,
+			SlotSize: 2,
 		}
-		ts := taskmodel.NewTaskSet(plat, tasks)
-		horizon := HorizonForJobs(bindings, 4)
-		if horizon > 5_000_000 {
-			continue
+		pool, err := Pool(SmallBenchmarks, plat.Cache)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, jitter := range []float64{0.1, 0.5, 1.0} {
-			simRes, err := Run(plat, bindings, Config{
-				Policy: core.RR, Horizon: horizon,
-				ArrivalJitter: jitter, Seed: seed,
-			})
-			if err != nil {
-				t.Fatalf("seed %d jitter %g: %v", seed, jitter, err)
+		for _, p := range pool {
+			// Twice the isolated WCET keeps consecutive jobs apart.
+			period := 2 * (p.PD + taskmodel.Time(p.MD)*plat.DMem)
+			task := &taskmodel.Task{
+				Name: p.Name, PD: p.PD, MD: p.MD, MDr: p.MDr,
+				Period: period, Deadline: period,
+				UCB: p.UCB, ECB: p.ECB, PCB: p.PCB,
 			}
-			anaRes, err := core.Analyze(ts, core.Config{Arbiter: core.RR, Persistence: true}, core.Options{})
+			w, err := NewWorkload(taskmodel.NewTaskSet(plat, []*taskmodel.Task{task}), 5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !anaRes.Schedulable {
-				continue
+			res, err := Run(plat, w.Bindings, Config{Policy: core.FP, Horizon: w.Horizon})
+			if err != nil {
+				t.Fatal(err)
 			}
-			bound := map[int]taskmodel.Time{}
-			for _, tr := range anaRes.Tasks {
-				bound[tr.Priority] = tr.WCRT
+			st := res.Tasks[task.Priority]
+			if st.Released != 5 || st.Completed != 5 {
+				t.Fatalf("%s at %d sets: released/completed %d/%d, want 5/5", p.Name, sets, st.Released, st.Completed)
 			}
-			for prio, st := range simRes.Tasks {
-				if st.Completed > 0 && st.MaxResponse > bound[prio] {
-					t.Errorf("seed %d jitter %g task %s: observed %d > bound %d",
-						seed, jitter, st.Name, st.MaxResponse, bound[prio])
-				}
+			if bound := persistence.MDHat(task, st.Released); st.Misses > bound {
+				t.Errorf("%s at %d sets: %d accesses served over %d jobs > M̂D = %d",
+					p.Name, sets, st.Misses, st.Released, bound)
 			}
 		}
 	}
@@ -190,13 +146,13 @@ func TestAnalysisDominatesSimulationSporadic(t *testing.T) {
 // TestSporadicReducesLoad sanity-checks the sporadic mode itself:
 // stretching arrivals can only reduce the number of released jobs.
 func TestSporadicReducesLoad(t *testing.T) {
-	plat, bindings := generateBindings(t, 7, 0.2, 1, 2)
-	horizon := HorizonForJobs(bindings, 5)
-	periodic, err := Run(plat, bindings, Config{Policy: core.FP, Horizon: horizon})
+	w := testWorkload(t, 7, 0.2, 1, 2, 5)
+	plat := w.TaskSet.Platform
+	periodic, err := Run(plat, w.Bindings, Config{Policy: core.FP, Horizon: w.Horizon})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sporadic, err := Run(plat, bindings, Config{Policy: core.FP, Horizon: horizon, ArrivalJitter: 1.0, Seed: 1})
+	sporadic, err := Run(plat, w.Bindings, Config{Policy: core.FP, Horizon: w.Horizon, ArrivalJitter: 1.0, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
