@@ -132,8 +132,21 @@ func AnalyzeAll(ts *TaskSet, cfgs []AnalysisConfig) ([]*Result, error) {
 // AnalyzeBatch runs many AnalyzeAll requests on a bounded worker pool
 // (workers <= 0 selects GOMAXPROCS) and returns one result slice per
 // request, in request order. The experiment sweeps are built on it.
+// If any request fails, it returns nil and the failure of the
+// lowest-indexed failing request.
 func AnalyzeBatch(reqs []BatchRequest, workers int) ([][]*Result, error) {
-	return core.AnalyzeBatchOpts(reqs, core.BatchOptions{Workers: workers})
+	// Each request's slot is written by the one worker that ran it.
+	errs := make([]error, len(reqs))
+	out, err := core.AnalyzeBatchOpts(reqs, core.BatchOptions{
+		Workers:   workers,
+		OnFailure: func(i int, _ string, err error, _ []byte) { errs[i] = err },
+	})
+	for _, e := range errs {
+		if e != nil {
+			return nil, e
+		}
+	}
+	return out, err
 }
 
 // NewTaskSet wraps tasks and a platform, sorting by priority.

@@ -2,6 +2,7 @@ package buscon_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	buscon "repro"
@@ -274,5 +275,36 @@ func TestFacadeBatch(t *testing.T) {
 				t.Errorf("set %d cfg %+v: verdicts disagree across entry points", i, cfgs[ci])
 			}
 		}
+	}
+}
+
+// TestFacadeBatchRejectsInvalidTaskSet: a request whose task set fails
+// validation makes AnalyzeBatch return that validation error and no
+// results, even when the other requests of the batch are healthy.
+func TestFacadeBatchRejectsInvalidTaskSet(t *testing.T) {
+	plat := buscon.DefaultPlatform()
+	pool, err := buscon.BenchmarkPool(plat.Cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := buscon.GenConfig{Platform: plat, TasksPerCore: 2, CoreUtilization: 0.3}
+	good, err := buscon.GenerateTaskSet(gen, pool, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := buscon.GenerateTaskSet(gen, pool, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Tasks[0].Period = 0
+	cfgs := []buscon.AnalysisConfig{{Arbiter: buscon.FP}}
+	out, err := buscon.AnalyzeBatch([]buscon.BatchRequest{
+		{TS: good, Cfgs: cfgs}, {TS: bad, Cfgs: cfgs}, {TS: good, Cfgs: cfgs},
+	}, 2)
+	if err == nil || !strings.Contains(err.Error(), "period 0") {
+		t.Fatalf("AnalyzeBatch err = %v, want the validation error naming period 0", err)
+	}
+	if out != nil {
+		t.Errorf("AnalyzeBatch returned results %v alongside its error", out)
 	}
 }

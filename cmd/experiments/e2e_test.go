@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -223,17 +222,23 @@ func TestRunExtensionShardResumeMerge(t *testing.T) {
 
 // swapHandler lets fleet listeners exist (URLs known) before the
 // servers that need the full member list are built.
-type swapHandler struct{ h atomic.Value }
+// It counts the requests it serves.
+type swapHandler struct {
+	h      atomic.Value
+	served atomic.Int64
+}
 
 func (s *swapHandler) set(h http.Handler) { s.h.Store(h) }
 func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.served.Add(1)
 	s.h.Load().(http.Handler).ServeHTTP(w, r)
 }
 
-// TestRunClusterEquivalence pins the -cluster acceptance criterion: a
-// sweep whose analyses are served by a 2-node buscond fleet must emit
-// a CSV byte-identical to the single-process local run, leaving one
-// audit-ready checkpoint shard per node behind.
+// TestRunClusterEquivalence pins the -cluster acceptance criterion:
+// -cluster only swaps the engine under the ordinary sweep, so a sweep
+// served by a 2-node buscond fleet emits a CSV byte-identical to the
+// single-process local run — with no checkpoint, checkpointed and then
+// resumed, and split by -shard and merged.
 func TestRunClusterEquivalence(t *testing.T) {
 	refDir := t.TempDir()
 	var out, errOut bytes.Buffer
@@ -260,39 +265,87 @@ func TestRunClusterEquivalence(t *testing.T) {
 		}
 		swaps[i].set(server.New(server.Options{Ring: ring}).Handler())
 	}
-
-	clusterDir := t.TempDir()
-	ckpt := t.TempDir()
-	out.Reset()
-	errOut.Reset()
-	if code, err := run(context.Background(),
-		[]string{"-exp", "fig2a", "-tasksets", "2", "-outdir", clusterDir,
-			"-cluster", strings.Join(urls, ","), "-checkpoint", ckpt, "-progress=false"},
-		&out, &errOut); err != nil || code != 0 {
-		t.Fatalf("cluster run: code=%d err=%v (stderr: %s)", code, err, errOut.String())
+	served := func() (total int64) {
+		for _, sw := range swaps {
+			total += sw.served.Load()
+		}
+		return total
 	}
-	if got := readFile(t, filepath.Join(clusterDir, "fig2a.csv")); got != want {
-		t.Errorf("cluster CSV differs from the single-process run:\n--- cluster ---\n%s--- single ---\n%s", got, want)
+	// runCluster runs the fleet sweep with args and returns its CSV
+	// (from outdir, when given).
+	runCluster := func(outdir string, args ...string) string {
+		t.Helper()
+		args = append([]string{"-exp", "fig2a", "-tasksets", "2", "-progress=false",
+			"-cluster", strings.Join(urls, ",")}, args...)
+		if outdir != "" {
+			args = append(args, "-outdir", outdir)
+		}
+		out.Reset()
+		errOut.Reset()
+		if code, err := run(context.Background(), args, &out, &errOut); err != nil || code != 0 {
+			t.Fatalf("cluster run %v: code=%d err=%v (stderr: %s)", args, code, err, errOut.String())
+		}
+		if outdir == "" {
+			return ""
+		}
+		return readFile(t, filepath.Join(outdir, "fig2a.csv"))
 	}
-	for i := 0; i < n; i++ {
-		if _, err := os.Stat(filepath.Join(ckpt, fmt.Sprintf("fig2a.shard%dof%d.json", i, n))); err != nil {
-			t.Errorf("node %d left no shard checkpoint: %v", i, err)
+	check := func(how, got string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("cluster CSV (%s) differs from the single-process run:\n--- cluster ---\n%s--- single ---\n%s", how, got, want)
 		}
 	}
+
+	check("no checkpoint", runCluster(t.TempDir()))
+	for i, sw := range swaps {
+		if sw.served.Load() == 0 {
+			t.Errorf("node %d served no request", i)
+		}
+	}
+
+	ckpt := t.TempDir()
+	check("checkpointed", runCluster(t.TempDir(), "-checkpoint", ckpt))
+	before := served()
+	check("resumed", runCluster(t.TempDir(), "-checkpoint", ckpt, "-resume"))
+	if d := served() - before; d != 0 {
+		t.Errorf("resuming a complete checkpoint sent %d requests to the fleet, want 0", d)
+	}
+	entries, err := os.ReadDir(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "fig2a.json" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("checkpoint dir holds %v, want only fig2a.json", names)
+	}
+
+	shards := t.TempDir()
+	runCluster("", "-shard", "0/2", "-checkpoint", shards)
+	runCluster("", "-shard", "1/2", "-checkpoint", shards)
+	mergeDir := t.TempDir()
+	out.Reset()
+	errOut.Reset()
+	if code, err := run(context.Background(), []string{"merge", "-outdir", mergeDir,
+		filepath.Join(shards, "fig2a.shard0of2.json"), filepath.Join(shards, "fig2a.shard1of2.json")},
+		&out, &errOut); err != nil || code != 0 {
+		t.Fatalf("merge: code=%d err=%v (stderr: %s)", code, err, errOut.String())
+	}
+	check("sharded and merged", readFile(t, filepath.Join(mergeDir, "fig2a.csv")))
 }
 
-// TestRunClusterFlagValidation: -cluster needs -checkpoint and
-// excludes -shard (the fleet shards the sweep itself).
+// TestRunClusterFlagValidation: an empty or malformed -cluster member
+// list is a flag error.
 func TestRunClusterFlagValidation(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if code, err := run(context.Background(),
-		[]string{"-exp", "fig2a", "-cluster", "127.0.0.1:1"}, &out, &errOut); err == nil || code != 1 {
-		t.Errorf("-cluster without -checkpoint: code=%d err=%v, want an error", code, err)
-	}
-	if code, err := run(context.Background(),
-		[]string{"-exp", "fig2a", "-cluster", "127.0.0.1:1", "-shard", "0/2", "-checkpoint", t.TempDir()},
-		&out, &errOut); err == nil || code != 1 {
-		t.Errorf("-cluster with -shard: code=%d err=%v, want an error", code, err)
+	for _, list := range []string{",", " , ", "ftp://127.0.0.1:1"} {
+		var out, errOut bytes.Buffer
+		if code, err := run(context.Background(),
+			[]string{"-exp", "fig2a", "-cluster", list}, &out, &errOut); err == nil || code != 1 {
+			t.Errorf("-cluster %q: code=%d err=%v, want an error", list, code, err)
+		}
 	}
 }
 

@@ -30,10 +30,12 @@
 //
 // With a buscond fleet running (see cmd/buscond -peers), -cluster
 // submits the sweep's analyses to the fleet instead of the in-process
-// engine — one checkpoint shard per node, merged and replayed at the
-// end, so the CSVs stay byte-identical to a local run:
+// engine, each to the node that owns its canonical key. Everything
+// else — generation, the fold, -checkpoint, -resume, -shard and merge
+// — is the local sweep's, so the CSVs stay byte-identical to a local
+// run:
 //
-//	experiments -exp fig2a -cluster 127.0.0.1:8080,127.0.0.1:8081 -checkpoint ckpt/
+//	experiments -exp fig2a -cluster 127.0.0.1:8080,127.0.0.1:8081
 //
 // -checkpoint DIR records every completed job (atomically, every few
 // jobs or seconds) in DIR/<study>[.shardIofN].json; -resume reloads
@@ -155,7 +157,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	outdir := fs.String("outdir", "", "directory for CSV output (optional)")
 	shardS := fs.String("shard", "", "run only shard i of n sweep jobs, e.g. 0/4; applies to every study but table1, extassoc and exthier (requires -checkpoint)")
-	clusterS := fs.String("cluster", "", "comma-separated buscond fleet URLs; sweep analyses are served by the fleet, one checkpoint shard per node (requires -checkpoint, excludes -shard)")
+	clusterS := fs.String("cluster", "", "comma-separated buscond fleet URLs; sweep analyses are served by the fleet instead of the in-process engine")
 	clusterTimeout := fs.Duration("cluster-timeout", 0, "per-request deadline against the fleet (0 = 1m)")
 	ckptDir := fs.String("checkpoint", "", "directory for per-study checkpoint files (enables resumable sweeps; every study but table1, extassoc and exthier)")
 	resume := fs.Bool("resume", false, "reload existing checkpoints and skip completed jobs")
@@ -186,12 +188,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	}
 	var fleet *cluster.Client
 	if *clusterS != "" {
-		if *shardS != "" {
-			return 1, fmt.Errorf("-cluster and -shard are mutually exclusive (-cluster shards the sweep per fleet node itself)")
-		}
-		if *ckptDir == "" {
-			return 1, fmt.Errorf("-cluster requires -checkpoint: per-node shard results only become a study through their checkpoint files")
-		}
 		var err error
 		if fleet, err = cluster.NewClient(strings.Split(*clusterS, ","), *clusterTimeout); err != nil {
 			return 1, err
@@ -278,21 +274,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 			break
 		}
 		ran = true
-		if fleet != nil {
-			code, rerr := runClusterStudy(s, opts, fleet, clusterCfg{
-				dir: *ckptDir, resume: *resume,
-				every: *ckptEvery, interval: *ckptInterval,
-				progress: *progress, outdir: *outdir,
-			}, stdout, stderr)
-			if rerr != nil {
-				return code, rerr
-			}
-			interrupted = interrupted || code == 130
-			continue
-		}
 		start := time.Now()
 		runOpts := opts
 		runOpts.Shard = shard
+		if fleet != nil {
+			runOpts.Analyze = fleet.AnalyzeBatch
+		}
 
 		var log *checkpoint.Log
 		if *ckptDir != "" {
@@ -383,95 +370,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		return 130, nil
 	}
 	return 0, nil
-}
-
-// clusterCfg bundles the flag state runClusterStudy needs.
-type clusterCfg struct {
-	dir      string
-	resume   bool
-	every    int
-	interval time.Duration
-	progress bool
-	outdir   string
-}
-
-// runClusterStudy runs one sweep study against a buscond fleet.
-// The job list is split into one shard per fleet node; each shard runs
-// with the fleet client as its analysis engine (experiments
-// Options.Analyze) and its own checkpoint file, exactly as n separate
-// -shard processes would. The shard checkpoints are then merged and
-// replayed — the same path as `experiments merge` — so the emitted
-// chart and CSV are byte-identical to a single-process local run.
-func runClusterStudy(s studyFn, opts experiments.Options, fleet *cluster.Client, cc clusterCfg, stdout, stderr io.Writer) (int, error) {
-	n := fleet.Len()
-	var paths []string
-	for i := 0; i < n; i++ {
-		sh := checkpoint.Shard{Index: i, Count: n}
-		hdr := checkpoint.Header{Study: s.name, Seed: opts.Seed, TaskSets: opts.TaskSetsPerPoint, Shard: sh}
-		path := checkpointPath(cc.dir, s.name, sh)
-		var log *checkpoint.Log
-		var err error
-		if cc.resume {
-			log, err = checkpoint.Resume(path, hdr)
-		} else {
-			log, err = checkpoint.Create(path, hdr)
-		}
-		if err != nil {
-			return 1, err
-		}
-		log.Every, log.Interval = cc.every, cc.interval
-
-		runOpts := opts
-		runOpts.Shard = sh
-		runOpts.Checkpoint = log
-		runOpts.Analyze = fleet.AnalyzeBatch
-		runOpts.OnJobFailure = func(key string, err error, stack []byte) {
-			fmt.Fprintf(stderr, "\nexperiments: %s: job %s failed permanently: %v\n", s.name, key, err)
-		}
-		var p *progressPrinter
-		if cc.progress {
-			p = &progressPrinter{w: stderr, study: fmt.Sprintf("%s shard %d/%d", s.name, i, n)}
-			runOpts.Progress = p.update
-		}
-		_, err = s.run(runOpts)
-		if p != nil {
-			p.clear()
-		}
-		if cerr := log.Close(); cerr != nil {
-			return 1, cerr
-		}
-		if errors.Is(err, experiments.ErrInterrupted) {
-			fmt.Fprintf(stdout, "interrupted: %s shard %d/%d checkpointed partially; rerun with -resume to continue\n", s.name, i, n)
-			return 130, nil
-		}
-		if err != nil {
-			return 1, fmt.Errorf("%s shard %d/%d: %w", s.name, i, n, err)
-		}
-		paths = append(paths, path)
-	}
-
-	// Merge and replay from the recorded jobs, like `experiments merge`.
-	var logs []*checkpoint.Log
-	for _, path := range paths {
-		log, err := checkpoint.Open(path)
-		if err != nil {
-			return 1, err
-		}
-		logs = append(logs, log)
-	}
-	merged, err := checkpoint.Merge(logs)
-	if err != nil {
-		return 1, err
-	}
-	start := time.Now()
-	st, err := s.run(experiments.Options{
-		TaskSetsPerPoint: opts.TaskSetsPerPoint,
-		Seed:             opts.Seed,
-		Base:             opts.Base,
-		Checkpoint:       merged,
-		Context:          opts.Context,
-	})
-	return emitStudy(st, err, s.name, cc.outdir, start, stdout)
 }
 
 // checkpointPath names the checkpoint file for one study and shard:

@@ -35,38 +35,50 @@ type Params struct {
 	Result *staticwcet.Result
 }
 
+// programs is the suite, in order: each benchmark's name and the
+// constructor of its program.
+var programs = []struct {
+	name  string
+	build func() *program.Program
+}{
+	{"lcdnum", lcdnum},
+	{"cnt", cnt},
+	{"fir", fir},
+	{"ns", ns},
+	{"qurt", qurt},
+	{"crc", crc},
+	{"matmult", matmult},
+	{"bsort100", bsort100},
+	{"edn", edn},
+	{"jfdctint", jfdctint},
+	{"ludcmp", ludcmp},
+	{"fdct", fdct},
+	{"compress", compress},
+	{"adpcm", adpcm},
+	{"cover", cover},
+	{"ndes", ndes},
+	{"lms", lms},
+	{"st", st},
+	{"statemate", statemate},
+	{"nsichneu", nsichneu},
+}
+
 // Suite returns the twenty benchmark programs. Programs are built
 // fresh on every call so callers may mutate Alt.Taken freely.
 func Suite() []Benchmark {
-	return []Benchmark{
-		{"lcdnum", lcdnum()},
-		{"cnt", cnt()},
-		{"fir", fir()},
-		{"ns", ns()},
-		{"qurt", qurt()},
-		{"crc", crc()},
-		{"matmult", matmult()},
-		{"bsort100", bsort100()},
-		{"edn", edn()},
-		{"jfdctint", jfdctint()},
-		{"ludcmp", ludcmp()},
-		{"fdct", fdct()},
-		{"compress", compress()},
-		{"adpcm", adpcm()},
-		{"cover", cover()},
-		{"ndes", ndes()},
-		{"lms", lms()},
-		{"st", st()},
-		{"statemate", statemate()},
-		{"nsichneu", nsichneu()},
+	out := make([]Benchmark, len(programs))
+	for i, p := range programs {
+		out[i] = Benchmark{p.name, p.build()}
 	}
+	return out
 }
 
-// ByName returns the named benchmark or an error listing valid names.
+// ByName builds the named benchmark, or returns an error naming the
+// unknown name.
 func ByName(name string) (Benchmark, error) {
-	for _, b := range Suite() {
-		if b.Name == name {
-			return b, nil
+	for _, p := range programs {
+		if p.name == name {
+			return Benchmark{p.name, p.build()}, nil
 		}
 	}
 	return Benchmark{}, fmt.Errorf("benchsuite: unknown benchmark %q", name)

@@ -1,6 +1,7 @@
 package benchsuite
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/taskmodel"
@@ -53,6 +54,41 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("doesnotexist"); err == nil {
 		t.Fatal("ByName(doesnotexist) = nil error")
+	}
+}
+
+// TestByNameMatchesSuite: ByName builds exactly the program Suite
+// lists under that name.
+func TestByNameMatchesSuite(t *testing.T) {
+	for _, want := range Suite() {
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Fatalf("ByName(%s): %v", want.Name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%s) differs from its Suite entry", want.Name)
+		}
+	}
+}
+
+// TestByNameBuildsOnlyOne: ByName builds the named program alone, not
+// the whole suite: lcdnum costs under a twentieth of Suite's
+// allocations, and building every program by name costs no more than
+// building the suite once.
+func TestByNameBuildsOnlyOne(t *testing.T) {
+	allocs := func(name string) float64 {
+		return testing.AllocsPerRun(10, func() { _, _ = ByName(name) })
+	}
+	suite := testing.AllocsPerRun(10, func() { Suite() })
+	if one := allocs("lcdnum"); one*20 >= suite {
+		t.Errorf("ByName(lcdnum) made %.0f allocations, Suite %.0f: want under a twentieth", one, suite)
+	}
+	sum := 0.0
+	for _, b := range Suite() {
+		sum += allocs(b.Name)
+	}
+	if sum > suite {
+		t.Errorf("ByName over every name made %.0f allocations, Suite %.0f: want no more", sum, suite)
 	}
 }
 

@@ -22,10 +22,12 @@ import (
 // and run cluster-wide sweeps through the exact same fold and
 // checkpoint machinery as a local run.
 //
-// Each request is posted to the node that owns its canonical key (the
-// same partition the fleet routes by), so a well-configured client
-// never costs a proxy hop and every node's cache warms with exactly
-// its own shard of the sweep. A stale node list still works — the
+// Each request is posted straight to the node that owns its canonical
+// key (the same partition the fleet routes by), so a well-configured
+// client never costs a proxy hop and every node's cache warms with
+// exactly the keys it owns. That partition is unrelated to a sweep's
+// -shard split, which divides jobs by job key: one sweep shard's
+// requests spread over every node. A stale node list still works — the
 // fleet's own routing corrects the placement at one hop of cost.
 type Client struct {
 	nodes  []string
@@ -56,10 +58,6 @@ func NewClient(members []string, timeout time.Duration) (*Client, error) {
 	return &Client{nodes: nodes, client: &http.Client{Timeout: timeout}}, nil
 }
 
-// Len returns the number of distinct fleet nodes the client submits
-// to — the natural shard count for a cluster-wide sweep.
-func (c *Client) Len() int { return len(c.nodes) }
-
 // analyzeEnvelope is the slice of the /v1/analyze response the client
 // consumes.
 type analyzeEnvelope struct {
@@ -74,10 +72,10 @@ type analyzeEnvelope struct {
 // opts.OnResult fires as requests complete, opts.OnFailure reports
 // per-request analysis failures (HTTP 4xx/5xx from the owning node —
 // the remote analog of an isolated job failure); a transport error
-// aborts the batch, like a non-isolated engine error, because it means
-// the fleet itself is unreachable and every remaining job would fail
-// the same way. A canceled context returns the partial results plus
-// the context error, mirroring core.AnalyzeBatchOpts.
+// fails the batch, because it means the fleet itself is unreachable
+// and every remaining job would fail the same way. A canceled context
+// returns the partial results plus the context error, mirroring
+// core.AnalyzeBatchOpts.
 func (c *Client) AnalyzeBatch(reqs []core.BatchRequest, opts core.BatchOptions) ([][]*core.Result, error) {
 	ctx := opts.Context
 	if ctx == nil {

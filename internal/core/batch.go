@@ -39,28 +39,20 @@ type BatchOptions struct {
 	// label. Called from worker goroutines; must be safe for concurrent
 	// use.
 	OnResult func(i int, res []*Result, label string)
-	// Isolate converts per-request failures — panics as well as
-	// analysis errors — into recorded per-job failures instead of
-	// failing the whole batch. A panicking request is retried once on
-	// the naive reference analyzer (the optimized engine and the
-	// reference are independent code paths, so an engine bug degrades
-	// one data point, not the run); if the retry fails too, the
-	// request's result slot stays nil and OnFailure reports the cause.
-	// Panics are counted on sweep.job_panics, terminal failures on
-	// sweep.job_failures.
-	Isolate bool
-	// OnFailure, when non-nil with Isolate, receives each isolated
-	// request failure together with the stack of the original panic
-	// (nil for plain analysis errors). Called from worker goroutines;
-	// must be safe for concurrent use.
+	// OnFailure, when non-nil, receives each request failure — an
+	// analysis error, or a panic the reference retry did not rescue
+	// (see AnalyzeIsolated) — together with the stack of the original
+	// panic (nil for plain analysis errors). A failed request's result
+	// slot stays nil and the batch itself still succeeds. Called from
+	// worker goroutines; must be safe for concurrent use.
 	OnFailure func(i int, label string, err error, stack []byte)
 	// Memo, when non-nil, is a content-addressed store shared by every
 	// request of the batch (and, if the caller retains it, across
 	// batches): near-duplicate task sets recompute only the table
 	// columns and curve backbones their differences invalidate (see
-	// Options.Memo). The reference retry of the Isolate path
-	// deliberately bypasses it — the retry exists to sidestep engine
-	// state, cached columns and curves included.
+	// Options.Memo). The reference retry deliberately bypasses it —
+	// the retry exists to sidestep engine state, cached columns and
+	// curves included.
 	Memo *MemoStore
 }
 
@@ -84,17 +76,17 @@ type panicError struct {
 func (p *panicError) Error() string { return fmt.Sprintf("panic: %v", p.val) }
 
 // analyzeGuarded runs one attempt of a request under recover.
-func analyzeGuarded(req BatchRequest, label string, attempt int, obs *telemetry.Observer, memo *MemoStore) (res []*Result, err error) {
+func analyzeGuarded(req BatchRequest, attempt int, opts Options) (res []*Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, &panicError{val: r, stack: debug.Stack()}
 		}
 	}()
 	if hook := batchFaultHook; hook != nil {
-		hook(label, attempt)
+		hook(req.Label, attempt)
 	}
 	if attempt == 0 {
-		return analyzeAllObs(req.TS, req.Cfgs, obs, memo)
+		return analyzeAllObs(req.TS, req.Cfgs, opts.Observer, opts.Memo)
 	}
 	// Reference retry: the retained naive analyzer, config by config.
 	out := make([]*Result, len(req.Cfgs))
@@ -108,30 +100,38 @@ func analyzeGuarded(req BatchRequest, label string, attempt int, obs *telemetry.
 	return out, nil
 }
 
-// analyzeIsolated is the Isolate path: recover panics, retry once on
-// the reference analyzer, and fold the outcome into (results, error).
-func analyzeIsolated(req BatchRequest, label string, obs *telemetry.Observer, memo *MemoStore) ([]*Result, error) {
-	res, err := analyzeGuarded(req, label, 0, obs, memo)
-	pe, panicked := err.(*panicError)
-	if !panicked {
-		return res, err
+// AnalyzeIsolated analyzes one request as AnalyzeAll does, but a panic
+// cannot escape it: a panicking request is retried once on the naive
+// reference analyzer, bypassing opts.Memo (the optimized engine and
+// the reference are independent code paths, so an engine bug degrades
+// one request, not the caller). Panics are counted on sweep.job_panics
+// and terminal failures — analysis errors and failed retries — on
+// sweep.job_failures. A failed retry's error names req.Label and wraps
+// the original panic, whose stack AnalyzeBatchOpts hands to
+// BatchOptions.OnFailure.
+func AnalyzeIsolated(req BatchRequest, opts Options) ([]*Result, error) {
+	res, err := analyzeGuarded(req, 0, opts)
+	if pe, panicked := err.(*panicError); panicked {
+		opts.Observer.Add(telemetry.CtrJobPanics, 1)
+		if res, err = analyzeGuarded(req, 1, Options{}); err != nil {
+			err = fmt.Errorf("%s: %w; reference retry: %v", req.Label, pe, err)
+		}
 	}
-	obs.Add(telemetry.CtrJobPanics, 1)
-	res, rerr := analyzeGuarded(req, label, 1, obs, nil)
-	if rerr != nil {
-		return nil, fmt.Errorf("%s: %w; reference retry: %v", label, pe, rerr)
+	if err != nil {
+		opts.Observer.Add(telemetry.CtrJobFailures, 1)
+		return nil, err
 	}
 	return res, nil
 }
 
 // AnalyzeBatchOpts fans the requests across a worker pool and returns,
 // per request, the results in Cfgs order. Each request is processed by
-// one worker as AnalyzeAll does, so the configurations of a request
-// share precomputed interference tables while distinct requests run in
-// parallel. The first error aborts nothing already in flight but is
-// returned after all workers drain. Analysis errors take precedence
-// over cancellation; on cancellation the partial results are returned
-// alongside the context's error.
+// one worker through AnalyzeIsolated, so the configurations of a
+// request share precomputed interference tables while distinct
+// requests run in parallel, and a failing request is reported to
+// OnFailure with a nil result slot instead of failing the batch. On
+// cancellation the partial results are returned alongside the
+// context's error.
 func AnalyzeBatchOpts(reqs []BatchRequest, opts BatchOptions) ([][]*Result, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -141,7 +141,6 @@ func AnalyzeBatchOpts(reqs []BatchRequest, opts BatchOptions) ([][]*Result, erro
 		workers = len(reqs)
 	}
 	out := make([][]*Result, len(reqs))
-	errs := make([]error, len(reqs))
 	if len(reqs) == 0 {
 		return out, nil
 	}
@@ -162,37 +161,29 @@ func AnalyzeBatchOpts(reqs []BatchRequest, opts BatchOptions) ([][]*Result, erro
 					// further work once the batch is canceled.
 					continue
 				}
-				label := reqs[i].Label
-				if label == "" {
-					label = fmt.Sprintf("request %d", i)
+				req := reqs[i]
+				if req.Label == "" {
+					req.Label = fmt.Sprintf("request %d", i)
 				}
 				var sp telemetry.Span
 				if obs.Tracing() {
-					sp = obs.Span(label, "batch")
+					sp = obs.Span(req.Label, "batch")
 				}
-				if opts.Isolate {
-					out[i], errs[i] = analyzeIsolated(reqs[i], label, obs, opts.Memo)
-					if errs[i] != nil {
-						obs.Add(telemetry.CtrJobFailures, 1)
-						if opts.OnFailure != nil {
-							var pe *panicError
-							var stack []byte
-							if errors.As(errs[i], &pe) {
-								stack = pe.stack
-							}
-							opts.OnFailure(i, label, errs[i], stack)
-						}
-						// Recorded per-job; the batch itself stays healthy.
-						errs[i] = nil
+				var err error
+				out[i], err = AnalyzeIsolated(req, Options{Observer: obs, Memo: opts.Memo})
+				if err != nil && opts.OnFailure != nil {
+					var pe *panicError
+					var stack []byte
+					if errors.As(err, &pe) {
+						stack = pe.stack
 					}
-				} else {
-					out[i], errs[i] = analyzeAllObs(reqs[i].TS, reqs[i].Cfgs, obs, opts.Memo)
+					opts.OnFailure(i, req.Label, err, stack)
 				}
 				if obs.Tracing() {
 					sp.End()
 				}
 				if opts.OnResult != nil {
-					opts.OnResult(i, out[i], label)
+					opts.OnResult(i, out[i], req.Label)
 				}
 			}
 		}(w)
@@ -202,13 +193,5 @@ func AnalyzeBatchOpts(reqs []BatchRequest, opts BatchOptions) ([][]*Result, erro
 	}
 	close(idx)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	return out, nil
+	return out, ctx.Err()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +37,7 @@ func TestIsolatePanicRetriesOnReference(t *testing.T) {
 
 	obs := telemetry.New()
 	reqs := isolationReqs(3)
-	out, err := AnalyzeBatchOpts(reqs, BatchOptions{Workers: 2, Observer: obs, Isolate: true})
+	out, err := AnalyzeBatchOpts(reqs, BatchOptions{Workers: 2, Observer: obs})
 	if err != nil {
 		t.Fatalf("AnalyzeBatchOpts: %v", err)
 	}
@@ -77,7 +78,7 @@ func TestIsolatePanicTwiceRecordsFailure(t *testing.T) {
 	var failures []failure
 	reqs := isolationReqs(4)
 	out, err := AnalyzeBatchOpts(reqs, BatchOptions{
-		Workers: 2, Observer: obs, Isolate: true,
+		Workers: 2, Observer: obs,
 		OnFailure: func(i int, label string, err error, stack []byte) {
 			mu.Lock()
 			failures = append(failures, failure{label, err, stack})
@@ -119,36 +120,21 @@ func TestIsolatePanicTwiceRecordsFailure(t *testing.T) {
 	}
 }
 
-// TestIsolateOffPropagatesPanic: without Isolate a worker panic must
-// not be swallowed — the default batch semantics are unchanged.
-func TestIsolateOffPropagatesPanic(t *testing.T) {
-	SetBatchFaultHook(func(label string, attempt int) { panic("unisolated") })
-	defer SetBatchFaultHook(nil)
-	// The hook only fires on the isolation path; the default path never
-	// calls it, so this batch must succeed exactly as before.
-	out, err := AnalyzeBatchOpts(isolationReqs(2), BatchOptions{Workers: 1})
-	if err != nil || out[0] == nil || out[1] == nil {
-		t.Fatalf("default path disturbed: out=%v err=%v", out, err)
-	}
-}
-
 // TestIsolateIdenticalResults: on a healthy batch, isolation must not
-// change any result — same verdicts with and without it.
+// change any result — the batch equals AnalyzeAll request by request.
 func TestIsolateIdenticalResults(t *testing.T) {
 	reqs := isolationReqs(3)
-	plain, err := AnalyzeBatchOpts(reqs, BatchOptions{Workers: 2})
+	isolated, err := AnalyzeBatchOpts(reqs, BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	isolated, err := AnalyzeBatchOpts(reqs, BatchOptions{Workers: 2, Isolate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		for j := range plain[i] {
-			if plain[i][j].Schedulable != isolated[i][j].Schedulable {
-				t.Errorf("request %d cfg %d: verdict differs under isolation", i, j)
-			}
+	for i, req := range reqs {
+		plain, err := AnalyzeAll(req.TS, req.Cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, isolated[i]) {
+			t.Errorf("request %d: batch results differ from AnalyzeAll", i)
 		}
 	}
 }

@@ -482,7 +482,6 @@ func sweep(opts Options, numPoints int,
 		Observer: opts.Observer,
 		Context:  ctx,
 		OnResult: onResult,
-		Isolate:  true,
 		OnFailure: func(ri int, _ string, err error, stack []byte) {
 			fail(reqJob[ri], err, stack)
 		},

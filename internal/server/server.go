@@ -48,7 +48,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -81,10 +80,9 @@ type Options struct {
 	// memoization.
 	MemoEntries int
 	// RequestTimeout bounds how long a request may wait for a worker
-	// slot and cancels the engine between requests. A running analysis
-	// is never preempted mid-fixed-point — its runtime is bounded by
-	// Config.MaxOuterIterations — but its completed result is still
-	// returned (and cached) even if the deadline passed meanwhile.
+	// slot. A running analysis is never preempted mid-fixed-point — its
+	// runtime is bounded by Config.MaxOuterIterations — and its result
+	// is returned (and cached) even if the deadline passed meanwhile.
 	// 0 disables the deadline.
 	RequestTimeout time.Duration
 	// RetryAfter is the hint attached to 429 responses; 0 selects 1s.
@@ -352,9 +350,9 @@ func (s *Server) compute(ri *reqInfo, key string, ts *taskmodel.TaskSet, cfgs []
 		return nil, errShed
 	}
 
-	// The engine context is detached from any single client: the result
-	// is shared with coalesced followers and the cache. RequestTimeout
-	// still bounds the wait for a worker slot.
+	// The slot wait is detached from any single client: the result is
+	// shared with coalesced followers and the cache. RequestTimeout
+	// still bounds it.
 	ctx := context.Background()
 	if s.opts.RequestTimeout > 0 {
 		var cancel context.CancelFunc
@@ -384,44 +382,21 @@ func (s *Server) compute(ri *reqInfo, key string, ts *taskmodel.TaskSet, cfgs []
 		co.Metrics = child
 		engineObs = &co
 	}
-	var mu sync.Mutex
-	var failure error
+	label := "req " + key[:8]
+	engineObs = engineObs.WithTrack(label)
 	ta := st.Now()
-	sp := s.obs.Span("analyze "+key[:8], "server")
-	out, err := core.AnalyzeBatchOpts(
-		[]core.BatchRequest{{TS: ts, Cfgs: cfgs, Label: "req " + key[:8]}},
-		core.BatchOptions{
-			Workers:  1,
-			Observer: engineObs,
-			Context:  ctx,
-			Isolate:  true,
-			Memo:     s.memo,
-			OnFailure: func(i int, label string, err error, stack []byte) {
-				mu.Lock()
-				failure = err
-				mu.Unlock()
-			},
-		})
+	sp := engineObs.Span("analyze "+key[:8], "server")
+	res, err := core.AnalyzeIsolated(core.BatchRequest{TS: ts, Cfgs: cfgs, Label: label},
+		core.Options{Observer: engineObs, Memo: s.memo})
 	sp.End()
 	st.AddSince(telemetry.StageAnalyze, ta)
 	ri.addEngine(child)
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+	if err != nil {
+		s.obs.Add(telemetry.CtrServerFailures, 1)
 		return nil, err
 	}
-	if failure != nil {
-		s.obs.Add(telemetry.CtrServerFailures, 1)
-		return nil, failure
-	}
-	if len(out) == 0 || out[0] == nil {
-		// The deadline fired before the engine picked the request up.
-		s.obs.Add(telemetry.CtrServerTimeouts, 1)
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, fmt.Errorf("server: analysis produced no result")
-	}
 	tm := st.Now()
-	raw := encodeResults(out[0])
+	raw := encodeResults(res)
 	st.AddSince(telemetry.StageMarshal, tm)
 	// The store fill is cache time, not marshal time — conflating the
 	// two would hide a contended or oversized store inside the marshal

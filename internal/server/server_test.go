@@ -308,12 +308,11 @@ func TestPanicIsolationRecovers(t *testing.T) {
 	hs := httptest.NewServer(New(Options{Observer: obs}).Handler())
 	defer hs.Close()
 
-	direct, err := core.AnalyzeBatchOpts(
-		[]core.BatchRequest{{TS: fixtures.Fig1TaskSet(), Cfgs: coreConfigs(t, paperConfigs)}}, core.BatchOptions{Workers: 1})
+	direct, err := core.AnalyzeAll(fixtures.Fig1TaskSet(), coreConfigs(t, paperConfigs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := json.Marshal(direct[0])
+	want, _ := json.Marshal(direct)
 
 	resp, data := postAnalyze(t, hs.URL, requestBody(t, fixtures.Fig1TaskSet(), paperConfigs))
 	if resp.StatusCode != http.StatusOK {
@@ -577,4 +576,52 @@ func ExampleServer() {
 	}
 	fmt.Println("schedulable:", env.Results[0].Schedulable)
 	// Output: schedulable: true
+}
+
+// TestAnalysisTraceLanes: under tracing each analyzed request renders
+// on its own lane named after its key; no batch-worker lane appears.
+func TestAnalysisTraceLanes(t *testing.T) {
+	rec := telemetry.NewTraceRecorder()
+	obs := &telemetry.Observer{Metrics: telemetry.NewMetrics(), Trace: rec}
+	hs := httptest.NewServer(New(Options{Observer: obs}).Handler())
+	defer hs.Close()
+
+	var want []string
+	for _, cfgs := range [][]core.WireConfig{paperConfigs, paperConfigs[:1]} {
+		resp, data := postAnalyze(t, hs.URL, requestBody(t, fixtures.Fig1TaskSet(), cfgs))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d\n%s", resp.StatusCode, data)
+		}
+		want = append(want, "req "+decodeEnvelope(t, data).Key[:8])
+	}
+
+	var buf bytes.Buffer
+	if err := rec.WriteJSON(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	lanes := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" {
+			name, _ := ev.Args["name"].(string)
+			lanes[name]++
+		}
+	}
+	for _, name := range want {
+		if lanes[name] != 1 {
+			t.Errorf("lane %q registered %d times, want once (lanes %v)", name, lanes[name], lanes)
+		}
+	}
+	if lanes["worker-00"] != 0 {
+		t.Errorf("a batch-worker lane was registered (lanes %v)", lanes)
+	}
 }

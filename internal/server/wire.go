@@ -25,7 +25,7 @@ type wireAnalyzeRequest struct {
 
 // wireAnalyzeResponse envelopes the engine results. Results holds the
 // marshaled []*core.Result in Configs order, byte-identical to a
-// direct core.AnalyzeBatchOpts call (and to every other response for the
+// direct core.AnalyzeAll call (and to every other response for the
 // same canonical key, cached or not). The server writes it with
 // appendEnvelope (encode.go); the struct is the schema a fleet edge
 // decodes a peer's reply with, and the form FuzzAppendResults holds

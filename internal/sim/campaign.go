@@ -11,9 +11,10 @@ package sim
 // Schedulable (converged, Complete) or none (aborted, not Complete),
 // and the only Complete result without a Schedulable task is Perfect's
 // bus-overload gate, which is never simulated. A violation is an
-// observed response above the bound or an observed deadline miss; the
-// second implies the first, since observed ≤ WCRT ≤ D leaves no room
-// for a miss.
+// observed response above the bound — a job still unfinished at the
+// horizon counts with its age there, a lower bound on its response —
+// or an observed deadline miss; the second implies the first, since
+// observed ≤ WCRT ≤ D leaves no room for a miss.
 
 import (
 	"fmt"
@@ -113,7 +114,7 @@ func (w *Workload) Modes(seed int64, jitter float64) []Config {
 // A Violation is a claimed bound that a simulation broke.
 type Violation struct {
 	Task           string
-	Observed       taskmodel.Time // largest observed response time
+	Observed       taskmodel.Time // largest observed response time, or unfinished job's age
 	Bound          taskmodel.Time // the claimed WCRT
 	DeadlineMisses int64
 }
@@ -128,8 +129,9 @@ func Check(res *core.Result, obs *Result) (checked int, vs []Violation) {
 	}
 	for _, tr := range res.Tasks {
 		st := obs.Tasks[tr.Priority]
-		if st.MaxResponse > tr.WCRT || st.DeadlineMisses > 0 {
-			vs = append(vs, Violation{Task: st.Name, Observed: st.MaxResponse, Bound: tr.WCRT, DeadlineMisses: st.DeadlineMisses})
+		observed := max(st.MaxResponse, st.UnfinishedAge)
+		if observed > tr.WCRT || st.DeadlineMisses > 0 {
+			vs = append(vs, Violation{Task: st.Name, Observed: observed, Bound: tr.WCRT, DeadlineMisses: st.DeadlineMisses})
 		}
 	}
 	return len(res.Tasks), vs

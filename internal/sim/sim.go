@@ -65,7 +65,12 @@ type Config struct {
 	Trace Tracer
 }
 
-// TaskStats aggregates per-task observations.
+// TaskStats aggregates per-task observations. MaxResponse is over the
+// completed jobs; UnfinishedAge is the largest Horizon+1−release over
+// the jobs still unfinished at the horizon, a lower bound on their
+// response times. DeadlineMisses counts the completed jobs that missed
+// their deadline and the unfinished ones whose deadline is before
+// Horizon+1.
 type TaskStats struct {
 	Name            string
 	Priority        int
@@ -73,6 +78,7 @@ type TaskStats struct {
 	Released        int64
 	Completed       int64
 	MaxResponse     taskmodel.Time
+	UnfinishedAge   taskmodel.Time
 	DeadlineMisses  int64
 	Misses          int64 // bus transactions actually served (L2 misses)
 	Hits            int64 // L1 hits
@@ -286,6 +292,19 @@ func Run(plat taskmodel.Platform, bindings []TaskBinding, cfg Config) (*Result, 
 		}
 	}
 
+	// A job still pending at the horizon completes at the end of cycle
+	// Horizon or later.
+	end := cfg.Horizon + 1
+	for _, c := range cores {
+		for _, j := range c.ready {
+			if age := end - j.release; age > j.stats.UnfinishedAge {
+				j.stats.UnfinishedAge = age
+			}
+			if end > j.deadline {
+				j.stats.DeadlineMisses++
+			}
+		}
+	}
 	res.BusBusy = b.busyTime
 	res.BusServe = b.served
 	return res, nil

@@ -71,6 +71,36 @@ func TestSoloTaskExactTiming(t *testing.T) {
 	}
 }
 
+// TestUnfinishedJobsAtHorizon: jobs still running when the horizon
+// cuts the run are not invisible. The 32-cycle solo task at period and
+// deadline 20 completes nothing within 25 cycles; its first job is at
+// least 26 cycles old and past its deadline, and Check must flag a
+// claimed WCRT of 20 as violated.
+func TestUnfinishedJobsAtHorizon(t *testing.T) {
+	bind := soloBinding(20)
+	res, err := Run(soloPlatform(1, 5), []TaskBinding{bind}, Config{Policy: core.FP, Horizon: 25})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	st := res.Tasks[0]
+	if st.Released != 2 || st.Completed != 0 {
+		t.Fatalf("released/completed = %d/%d, want 2/0", st.Released, st.Completed)
+	}
+	if st.UnfinishedAge != 26 {
+		t.Errorf("UnfinishedAge = %d, want 26 (release 0, horizon 25)", st.UnfinishedAge)
+	}
+	if st.DeadlineMisses != 1 {
+		t.Errorf("deadline misses = %d, want 1 (the job due at 20; the one due at 40 may still make it)", st.DeadlineMisses)
+	}
+	claim := &core.Result{Schedulable: true, Complete: true, Tasks: []core.TaskResult{
+		{Name: "solo", Priority: 0, WCRT: 20, Deadline: 20, Schedulable: true, Verified: true},
+	}}
+	checked, vs := Check(claim, res)
+	if checked != 1 || len(vs) != 1 || vs[0].Observed != 26 || vs[0].Bound != 20 {
+		t.Errorf("Check = %d checked, violations %+v; want 1 checked and one violation observing 26 > 20", checked, vs)
+	}
+}
+
 func TestSoloTaskTDMAWithinAnalyticBound(t *testing.T) {
 	plat := soloPlatform(2, 5)
 	bind := soloBinding(400)
