@@ -204,6 +204,26 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
+// TestMemBudgetFlag pins what -mem-budget accepts: a byte count with
+// an optional binary unit, negative to disable the stores.
+func TestMemBudgetFlag(t *testing.T) {
+	for in, want := range map[string]int64{
+		"0": 0, "4194304": 4 << 20, "512B": 512, "64KiB": 64 << 10,
+		"4MiB": 4 << 20, "2GiB": 2 << 30, "-1": -1, "-1MiB": -1 << 20,
+	} {
+		var b byteSize
+		if err := b.Set(in); err != nil || int64(b) != want {
+			t.Errorf("Set(%q) = %d, %v; want %d", in, int64(b), err, want)
+		}
+	}
+	for _, in := range []string{"", "MiB", "4 MiB", "4MB", "4mib", "1.5GiB", "9223372036854775807KiB"} {
+		var b byteSize
+		if err := b.Set(in); err == nil {
+			t.Errorf("Set(%q) = %d, want an error", in, int64(b))
+		}
+	}
+}
+
 // TestRunFleetMemberAnnouncement wires the fleet flags end to end: a
 // single-member ring (self is auto-added to -peers) must announce
 // itself on stdout and still serve analyses — ownership of every key

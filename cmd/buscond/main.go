@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	buscond -addr 127.0.0.1:8080 -workers 8 -cache-entries 4096
+//	buscond -addr 127.0.0.1:8080 -workers 8 -mem-budget 64MiB
 //
 // Several daemons become a fleet with shard-owner request routing
 // (internal/cluster): start each with the full member list and its own
@@ -26,10 +26,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -38,6 +40,34 @@ import (
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
+
+// byteSize is a flag.Value holding a byte count written as an integer
+// with an optional binary unit: 4194304, 4096KiB, 4MiB and 1GiB all
+// parse; a leading minus sign is kept.
+type byteSize int64
+
+var byteUnits = []struct {
+	suffix string
+	scale  int64
+}{{"GiB", 1 << 30}, {"MiB", 1 << 20}, {"KiB", 1 << 10}, {"B", 1}}
+
+func (b *byteSize) Set(s string) error {
+	num, scale := s, int64(1)
+	for _, u := range byteUnits {
+		if strings.HasSuffix(s, u.suffix) {
+			num, scale = strings.TrimSuffix(s, u.suffix), u.scale
+			break
+		}
+	}
+	n, err := strconv.ParseInt(num, 10, 64)
+	if err != nil || n > math.MaxInt64/scale || n < math.MinInt64/scale {
+		return fmt.Errorf("%q is not a byte count (an integer, optionally followed by B, KiB, MiB or GiB)", s)
+	}
+	*b = byteSize(n * scale)
+	return nil
+}
+
+func (b *byteSize) String() string { return strconv.FormatInt(int64(*b), 10) }
 
 // run starts the daemon against explicit streams and blocks until ctx
 // is canceled (the signal path) or the listener fails; tests drive it
@@ -49,8 +79,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
 	workers := fs.Int("workers", 0, "concurrent engine invocations (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "requests allowed to wait for a worker before shedding (0 = 2x workers, negative = none)")
-	cacheEntries := fs.Int("cache-entries", 0, "request store capacity: cached results and delta bases (0 = 1024, negative = disable caching and /v1/analyze/delta)")
-	memoEntries := fs.Int("memo-entries", 0, "engine table-memo capacity in columns (0 = 4096, negative = disable memoization)")
+	var memBudget byteSize
+	fs.Var(&memBudget, "mem-budget", "bytes kept across requests (e.g. 64MiB): 3/5 request store (cached results and delta bases), 2/5 engine table memo (0 = 20MiB, negative = disable caching, /v1/analyze/delta and memoization)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline while queued (0 = none)")
 	peers := fs.String("peers", "", "comma-separated fleet member addresses (host:port or http:// URLs); enables shard-owner request routing")
 	self := fs.String("self", "", "this node's address within -peers (default: -addr; required when -addr binds port 0)")
@@ -125,8 +155,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	srv := server.New(server.Options{
 		Workers:         *workers,
 		QueueDepth:      *queue,
-		CacheEntries:    *cacheEntries,
-		MemoEntries:     *memoEntries,
+		MemBudget:       int64(memBudget),
 		RequestTimeout:  *timeout,
 		Observer:        obs,
 		AccessLog:       accessW,

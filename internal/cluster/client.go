@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -71,7 +72,9 @@ type analyzeEnvelope struct {
 // concurrent submissions and returns per-request results in order.
 // opts.OnResult fires as requests complete, opts.OnFailure reports
 // per-request analysis failures (HTTP 4xx/5xx from the owning node —
-// the remote analog of an isolated job failure); a transport error
+// the remote analog of an isolated job failure — after a shed, an
+// unavailable node or a queue timeout has been retried as analyzeOne
+// describes); a transport error
 // fails the batch, because it means the fleet itself is unreachable
 // and every remaining job would fail the same way. A canceled context
 // returns the partial results plus the context error, mirroring
@@ -149,18 +152,53 @@ dispatch:
 	return out, nil
 }
 
-// httpError is a failure status from the owning node.
+// httpError is a failure status from the owning node, with the wait
+// its Retry-After asks for before a retry.
 type httpError struct {
 	status int
 	body   string
+	wait   time.Duration
 }
 
 func (e *httpError) Error() string {
 	return fmt.Sprintf("cluster: node returned %d: %s", e.status, e.body)
 }
 
+// transient reports whether the node refused the request for now
+// rather than for good: a shed (429), a node that is unavailable or
+// draining (503), or a timeout while queued (504). Any other failure
+// status is the request's own.
+func (e *httpError) transient() bool {
+	return e.status == http.StatusTooManyRequests ||
+		e.status == http.StatusServiceUnavailable ||
+		e.status == http.StatusGatewayTimeout
+}
+
+// maxAttempts bounds how often analyzeOne posts one request: the first
+// try and up to maxAttempts−1 retries of a transient refusal.
+const maxAttempts = 5
+
+// maxRetryWait caps the wait before one retry, whatever Retry-After
+// says; defaultRetryWait is the wait when the node gives none.
+const (
+	maxRetryWait     = 30 * time.Second
+	defaultRetryWait = time.Second
+)
+
+// retryWait reads a response's Retry-After in whole seconds, capped at
+// maxRetryWait, or defaultRetryWait without a readable one.
+func retryWait(h http.Header) time.Duration {
+	secs, err := strconv.Atoi(h.Get("Retry-After"))
+	if err != nil || secs < 0 {
+		return defaultRetryWait
+	}
+	return min(time.Duration(secs)*time.Second, maxRetryWait)
+}
+
 // analyzeOne posts one request to its owning node and decodes the
-// result slice.
+// result slice. A transient refusal is retried after the node's
+// Retry-After, at most maxAttempts posts in all, for as long as ctx
+// lasts; the last refusal is returned as the request's failure.
 func (c *Client) analyzeOne(ctx context.Context, req core.BatchRequest) ([]*core.Result, error) {
 	key := core.CanonicalKey(req.TS, req.Cfgs)
 	body, err := EncodeAnalyzeBody(req.TS, req.Cfgs)
@@ -168,6 +206,24 @@ func (c *Client) analyzeOne(ctx context.Context, req core.BatchRequest) ([]*core
 		return nil, err
 	}
 	node := c.nodes[checkpoint.PartitionIndex(key, len(c.nodes))]
+	for attempt := 1; ; attempt++ {
+		res, err := c.post(ctx, node, body, len(req.Cfgs))
+		var he *httpError
+		if !errors.As(err, &he) || !he.transient() || attempt == maxAttempts {
+			return res, err
+		}
+		t := time.NewTimer(he.wait)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// post makes one attempt at a request body on node.
+func (c *Client) post(ctx context.Context, node string, body []byte, ncfgs int) ([]*core.Result, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/analyze", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -183,14 +239,14 @@ func (c *Client) analyzeOne(ctx context.Context, req core.BatchRequest) ([]*core
 		return nil, fmt.Errorf("cluster: decoding %s response: %w", node, derr)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, &httpError{status: resp.StatusCode, body: env.Error}
+		return nil, &httpError{status: resp.StatusCode, body: env.Error, wait: retryWait(resp.Header)}
 	}
 	var results []*core.Result
 	if err := json.Unmarshal(env.Results, &results); err != nil {
 		return nil, fmt.Errorf("cluster: decoding results from %s: %w", node, err)
 	}
-	if len(results) != len(req.Cfgs) {
-		return nil, fmt.Errorf("cluster: %s returned %d results for %d configs", node, len(results), len(req.Cfgs))
+	if len(results) != ncfgs {
+		return nil, fmt.Errorf("cluster: %s returned %d results for %d configs", node, len(results), ncfgs)
 	}
 	return results, nil
 }

@@ -336,6 +336,7 @@ func BenchmarkFixedPoint(b *testing.B) {
 // so every hit moves its entry to the front; "miss" cycles through
 // twice the capacity, so every call inserts an entry and evicts the
 // coldest. Both are on the memo path of every memo-attached analysis.
+// The store's budget holds exactly capacity empty columns.
 func BenchmarkMemoStore(b *testing.B) {
 	const capacity = 4096
 	keys := make([]memoKey, 2*capacity)
@@ -345,7 +346,7 @@ func BenchmarkMemoStore(b *testing.B) {
 	val := &memoColumn{}
 	compute := func() any { return val }
 	run := func(b *testing.B, keys []memoKey) {
-		store := NewMemoStore(capacity)
+		store := NewMemoStore(capacity * memoEntryOverhead)
 		for _, k := range keys {
 			store.getOrCompute(k, columnCounters, nil, compute)
 		}

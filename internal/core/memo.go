@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/crpd"
 	"repro/internal/lru"
+	"repro/internal/persistence"
 	"repro/internal/telemetry"
 )
 
@@ -137,21 +139,30 @@ type memoShard struct {
 // recompute only the columns their edits actually invalidate.
 type MemoStore struct {
 	shards [memoShards]memoShard
-	// perCap bounds each shard's entry count (total/memoShards).
-	perCap int
+	// perCap bounds each shard's accounted bytes (total/memoShards).
+	perCap int64
 }
 
-// NewMemoStore returns a store bounded to roughly maxEntries columns
-// (rounded up to the shard granularity), evicted LRU per shard.
-// maxEntries <= 0 selects a default sized for sweep workloads.
-func NewMemoStore(maxEntries int) *MemoStore {
-	if maxEntries <= 0 {
-		maxEntries = 4096
+// defaultMemoBytes is the store size NewMemoStore(0) selects: one
+// 160-task, 8192-set base under the six paper variants publishes 3,159
+// columns and backbones, 2.1 MB, so the base and the first edits of a
+// delta sweep on it fit without an eviction.
+const defaultMemoBytes = 4 << 20
+
+// memoEntryOverhead is what an entry costs beyond its payload slices:
+// the memoEntry and its done channel, the column header, the LRU node
+// and its map slot. It is also the whole charge of an entry whose
+// compute is still in flight.
+const memoEntryOverhead = 300
+
+// NewMemoStore returns a store bounded to maxBytes of accounted memory
+// (see memoBytes), split evenly over its shards and evicted LRU per
+// shard. maxBytes <= 0 selects 4 MiB.
+func NewMemoStore(maxBytes int64) *MemoStore {
+	if maxBytes <= 0 {
+		maxBytes = defaultMemoBytes
 	}
-	perCap := (maxEntries + memoShards - 1) / memoShards
-	if perCap < 1 {
-		perCap = 1
-	}
+	perCap := (maxBytes + memoShards - 1) / memoShards
 	m := &MemoStore{perCap: perCap}
 	for i := range m.shards {
 		m.shards[i].entries = lru.New[memoKey, *memoEntry](perCap)
@@ -159,13 +170,40 @@ func NewMemoStore(maxEntries int) *MemoStore {
 	return m
 }
 
+// memoBytes is the size a published value is charged: the entry
+// overhead plus its payload slices. Evictor slices a backbone shares
+// with its CPRO column are counted in both, so the total bounds the
+// store's memory from above.
+func memoBytes(val any) int64 {
+	const evictor = int64(unsafe.Sizeof(persistence.EvictorTerm{}))
+	n := int64(memoEntryOverhead)
+	switch v := val.(type) {
+	case *memoColumn:
+		n += int64(len(v.gamma))*8 + int64(len(v.cpro))*int64(unsafe.Sizeof(cproEntry{}))
+		for i := range v.cpro {
+			n += int64(len(v.cpro[i].evictors)) * evictor
+		}
+	case *curveColumn:
+		n += int64(len(v.terms)) * int64(unsafe.Sizeof(termCurve{}))
+		for i := range v.terms {
+			n += int64(len(v.terms[i].evictors)) * evictor
+		}
+	}
+	return n
+}
+
 // getOrCompute returns the value for key, computing and publishing it
 // via compute if absent. Concurrent callers of the same key compute it
 // once: followers block until the leader publishes. obs (nil-safe)
 // receives the ctrs counter family: a hit for a published value, a
 // wait for joining an in-flight computation, a miss for every actual
-// compute invocation, an eviction per capacity drop (attributed to the
-// dropped entry's own family).
+// compute invocation, an eviction per entry dropped to fit the shard's
+// bytes (attributed to the dropped entry's own family).
+//
+// An entry is charged memoEntryOverhead while its compute is in flight
+// and its full memoBytes once published; the shard evicts at both
+// points. A value larger than the whole shard is handed to its
+// requesters but not kept.
 func (m *MemoStore) getOrCompute(key memoKey, ctrs *memoCounterSet, obs *telemetry.Observer, compute func() any) any {
 	sh := &m.shards[key[0]&(memoShards-1)]
 	sh.mu.Lock()
@@ -174,7 +212,7 @@ func (m *MemoStore) getOrCompute(key memoKey, ctrs *memoCounterSet, obs *telemet
 	// shuffle is pure overhead on the hot hit path.
 	var ent *memoEntry
 	var ok bool
-	if sh.entries.Len()*2 > m.perCap {
+	if sh.entries.Bytes()*2 > m.perCap {
 		ent, ok = sh.entries.Get(key)
 	} else {
 		ent, ok = sh.entries.Peek(key)
@@ -200,10 +238,9 @@ func (m *MemoStore) getOrCompute(key memoKey, ctrs *memoCounterSet, obs *telemet
 		obs.Add(ctrs.misses, 1)
 		return compute()
 	}
+	evicted := func(e *memoEntry) { obs.Add(e.ctrs.evictions, 1) }
 	ent = &memoEntry{ctrs: ctrs, done: make(chan struct{})}
-	if dropped, evicted := sh.entries.Add(key, ent); evicted {
-		obs.Add(dropped.ctrs.evictions, 1)
-	}
+	sh.entries.Add(key, ent, memoEntryOverhead, evicted)
 	sh.mu.Unlock()
 
 	obs.Add(ctrs.misses, 1)
@@ -211,18 +248,21 @@ func (m *MemoStore) getOrCompute(key memoKey, ctrs *memoCounterSet, obs *telemet
 	defer func() {
 		// Publish-or-withdraw runs even when compute panics: val stays
 		// nil, the entry is removed so the key is not poisoned, and the
-		// close releases any followers before the panic propagates.
+		// close releases any followers before the panic propagates. A
+		// published entry still held is re-charged at its full size.
 		ent.val = val
 		if val != nil {
 			ent.ready.Store(true)
 		}
-		if val == nil {
-			sh.mu.Lock()
-			if cur, ok := sh.entries.Peek(key); ok && cur == ent {
+		sh.mu.Lock()
+		if cur, ok := sh.entries.Peek(key); ok && cur == ent {
+			if val != nil {
+				sh.entries.Add(key, ent, memoBytes(val), evicted)
+			} else {
 				sh.entries.Remove(key)
 			}
-			sh.mu.Unlock()
 		}
+		sh.mu.Unlock()
 		close(ent.done)
 	}()
 	val = compute()
@@ -261,6 +301,23 @@ func (m *MemoStore) Len() int {
 		sh := &m.shards[i]
 		sh.mu.Lock()
 		n += sh.entries.Len()
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// Bytes reports the accounted bytes of the resident entries (a racy
+// snapshot across shards), the core.memo_bytes gauge; a nil store
+// holds none.
+func (m *MemoStore) Bytes() int64 {
+	if m == nil {
+		return 0
+	}
+	var n int64
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		n += sh.entries.Bytes()
 		sh.mu.Unlock()
 	}
 	return n

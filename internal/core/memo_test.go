@@ -368,20 +368,40 @@ func TestMemoStoreLeaderPanic(t *testing.T) {
 	}
 }
 
-// TestMemoStoreBounded pins the capacity contract: the store never
-// holds more than its configured entry budget and reports evictions.
+// TestMemoStoreBounded pins the byte bound: columns of mixed sizes
+// never leave more than the budget resident, every entry dropped to
+// fit is counted as an eviction (one publish may drop several), and a
+// column larger than a whole shard is served to its requester but not
+// kept, so the next requester computes it again.
 func TestMemoStoreBounded(t *testing.T) {
-	const cap = 64
-	store := NewMemoStore(cap)
+	const budget = 64 << 10
+	const n = 1000
+	store := NewMemoStore(budget)
 	obs := telemetry.New()
-	for i := 0; i < 10*cap; i++ {
+	for i := 0; i < n; i++ {
 		key := memoKey(sha256.Sum256([]byte{byte(i), byte(i >> 8)}))
-		store.getOrComputeColumn(key, obs, func() *memoColumn { return &memoColumn{} })
+		col := &memoColumn{gamma: make([]int64, i%64)}
+		store.getOrComputeColumn(key, obs, func() *memoColumn { return col })
 	}
-	if n := store.Len(); n > cap {
-		t.Errorf("store holds %d entries, cap %d", n, cap)
+	if got := store.Bytes(); got > budget {
+		t.Errorf("store holds %d B, budget %d B", got, budget)
 	}
-	if obs.Metrics.Get(telemetry.CtrMemoEvictions) == 0 {
-		t.Error("no evictions recorded despite 10x-cap inserts")
+	resident := store.Len()
+	if got := obs.Metrics.Get(telemetry.CtrMemoEvictions); got != int64(n-resident) {
+		t.Errorf("core.memo_evictions = %d, want %d (%d inserted, %d resident)", got, n-resident, n, resident)
+	}
+
+	key := memoKey(sha256.Sum256([]byte("oversized")))
+	big := &memoColumn{gamma: make([]int64, budget/memoShards/8)}
+	if got := store.getOrComputeColumn(key, obs, func() *memoColumn { return big }); got != big {
+		t.Fatal("oversized column not handed to its requester")
+	}
+	misses := obs.Metrics.Get(telemetry.CtrMemoMisses)
+	store.getOrComputeColumn(key, obs, func() *memoColumn { return big })
+	if obs.Metrics.Get(telemetry.CtrMemoMisses) != misses+1 {
+		t.Error("oversized column was kept: the second request did not recompute it")
+	}
+	if got := store.Bytes(); got > budget {
+		t.Errorf("after the oversized column: %d B resident, budget %d B", got, budget)
 	}
 }

@@ -111,18 +111,37 @@ func deltaGrid() []deltaCase {
 	}
 }
 
+// analyzeDirect answers a full /v1/analyze body without a server: the
+// server's own decode, then core.AnalyzeAll with no memo and the
+// response encoder. It is the reference a delta answer must equal byte
+// for byte.
+func analyzeDirect(t testing.TB, body []byte) (string, json.RawMessage, error) {
+	t.Helper()
+	req, err := decodeAnalyze(body)
+	if err != nil {
+		return "", nil, err
+	}
+	ts, cfgs, err := req.decode()
+	if err != nil {
+		return "", nil, err
+	}
+	res, err := core.AnalyzeAll(ts, cfgs)
+	if err != nil {
+		return "", nil, err
+	}
+	return core.CanonicalKey(ts, cfgs), encodeResults(res), nil
+}
+
 // TestDeltaByteIdentity is the delta acceptance pin: over a grid of
 // edits covering every editable field, the /v1/analyze/delta response
-// must be byte-identical (results and canonical key) to POSTing the
-// hand-edited full request to /v1/analyze — here served by a separate
-// memo-free server, so the comparison also pins the memoized engine
-// against the plain one across the HTTP boundary.
+// must be byte-identical (results and canonical key) to the
+// hand-edited full request — here answered by analyzeDirect, without a
+// memo, so the comparison also pins the memoized engine against the
+// plain one across the HTTP boundary.
 func TestDeltaByteIdentity(t *testing.T) {
 	obs := telemetry.New()
 	deltaSrv := httptest.NewServer(New(Options{Observer: obs}).Handler())
 	defer deltaSrv.Close()
-	plainSrv := httptest.NewServer(New(Options{MemoEntries: -1}).Handler())
-	defer plainSrv.Close()
 
 	resp, data := postAnalyze(t, deltaSrv.URL, requestBody(t, fixtures.Fig1TaskSet(), paperConfigs))
 	if resp.StatusCode != http.StatusOK {
@@ -152,16 +171,15 @@ func TestDeltaByteIdentity(t *testing.T) {
 			}
 			tc.mutate(&plat, tasks)
 			edited := taskmodel.NewTaskSet(plat, tasks)
-			fResp, fData := postAnalyze(t, plainSrv.URL, requestBody(t, edited, paperConfigs))
-			if fResp.StatusCode != http.StatusOK {
-				t.Fatalf("fresh analyze: status %d\n%s", fResp.StatusCode, fData)
+			fKey, fResults, err := analyzeDirect(t, requestBody(t, edited, paperConfigs))
+			if err != nil {
+				t.Fatalf("fresh analyze: %v", err)
 			}
-			fEnv := decodeEnvelope(t, fData)
-			if dEnv.Key != fEnv.Key {
-				t.Errorf("delta key %s != fresh key %s (edit application diverged)", dEnv.Key, fEnv.Key)
+			if dEnv.Key != fKey {
+				t.Errorf("delta key %s != fresh key %s (edit application diverged)", dEnv.Key, fKey)
 			}
-			if !bytes.Equal([]byte(dEnv.Results), []byte(fEnv.Results)) {
-				t.Errorf("delta results differ from the fresh path:\ndelta: %s\nfresh: %s", dEnv.Results, fEnv.Results)
+			if !bytes.Equal(dEnv.Results, fResults) {
+				t.Errorf("delta results differ from the fresh path:\ndelta: %s\nfresh: %s", dEnv.Results, fResults)
 			}
 		})
 	}
@@ -355,11 +373,11 @@ func TestDeltaAmbiguousName(t *testing.T) {
 	}
 }
 
-// TestDeltaDisabled: CacheEntries < 0 turns off the request store, and
-// with it the delta endpoint, into a guaranteed 404 (no base is ever
-// stored) without affecting the plain analyze path.
+// TestDeltaDisabled: a negative MemBudget turns off the request store,
+// and with it the delta endpoint, into a guaranteed 404 (no base is
+// ever stored) without affecting the plain analyze path.
 func TestDeltaDisabled(t *testing.T) {
-	hs := httptest.NewServer(New(Options{CacheEntries: -1}).Handler())
+	hs := httptest.NewServer(New(Options{MemBudget: -1}).Handler())
 	defer hs.Close()
 
 	resp, data := postAnalyze(t, hs.URL, requestBody(t, fixtures.Fig1TaskSet(), paperConfigs[:1]))
@@ -513,15 +531,21 @@ func fuzzDeltaStep(base *taskmodel.TaskSet, data []byte) ([]wireEdit, *taskmodel
 	return edits, taskmodel.NewTaskSet(plat, tasks), data
 }
 
+// fuzzMemBudget gives each of the 16 memo shards 640 B, one Fig. 1
+// column or backbone with its bookkeeping (they weigh 300–480 B), and
+// the request store 15 KiB, several Fig. 1 requests.
+const fuzzMemBudget = 16 * 640 * 5 / 2
+
 // FuzzDelta: delta == fresh under eviction. Fuzzed edit lists are
 // chained, each on the key the previous 200 returned, from a Fig. 1
-// base on a server whose one-entry memo evicts on every op. Every 200
-// delta must equal, byte for byte (key and results), the same edits
-// applied by direct mutation and POSTed in full to a memo-free server.
-// A 4xx leaves the chain where it was; a 5xx or a panic fails.
+// base on a server whose memo shards hold about one entry each
+// (fuzzMemBudget), so the memo evicts on nearly every op while the
+// request store still keeps the chain's base. Every 200 delta must
+// equal, byte for byte (key and results), the same edits applied by
+// direct mutation and answered by analyzeDirect. A 4xx leaves the
+// chain where it was; a 5xx or a panic fails.
 func FuzzDelta(f *testing.F) {
-	deltaSrv := New(Options{MemoEntries: 1}).Handler()
-	plainSrv := New(Options{MemoEntries: -1}).Handler()
+	deltaSrv := New(Options{MemBudget: fuzzMemBudget}).Handler()
 	serve := func(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
@@ -553,14 +577,13 @@ func FuzzDelta(f *testing.F) {
 				continue
 			}
 			dEnv := decodeDelta(t, rec.Body.Bytes())
-			fresh := serve(plainSrv, "/v1/analyze", requestBody(t, edited, paperConfigs))
-			if fresh.Code != http.StatusOK {
-				t.Fatalf("delta %s answered 200, the edited set %d: %s", body, fresh.Code, fresh.Body.Bytes())
+			fKey, fResults, err := analyzeDirect(t, requestBody(t, edited, paperConfigs))
+			if err != nil {
+				t.Fatalf("delta %s answered 200, the edited set: %v", body, err)
 			}
-			fEnv := decodeEnvelope(t, fresh.Body.Bytes())
-			if dEnv.Key != fEnv.Key || !bytes.Equal(dEnv.Results, fEnv.Results) {
+			if dEnv.Key != fKey || !bytes.Equal(dEnv.Results, fResults) {
 				t.Fatalf("delta %s diverges from the fresh path:\ndelta: %s %s\nfresh: %s %s",
-					body, dEnv.Key, dEnv.Results, fEnv.Key, fEnv.Results)
+					body, dEnv.Key, dEnv.Results, fKey, fResults)
 			}
 			cur, key = edited, dEnv.Key
 		}

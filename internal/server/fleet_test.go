@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -500,5 +502,105 @@ func TestEncodeAnalyzeBodyRoundTrip(t *testing.T) {
 	}
 	if got, want := core.CanonicalKey(ts2, cfgs2), core.CanonicalKey(ts, cfgs); got != want {
 		t.Errorf("canonical key drifted through the wire encoding:\nencoded: %s\ndirect:  %s", got, want)
+	}
+}
+
+// refusingNode serves srv behind a gate that answers the first post of
+// every distinct body with status(n) for the n-th refusal (Retry-After
+// 0, so retries need not wait) and passes later posts through.
+func refusingNode(t *testing.T, srv *Server, status func(n int64) int) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	var refusals atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mu.Lock()
+		first := !seen[string(body)]
+		seen[string(body)] = true
+		mu.Unlock()
+		if first {
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(status(refusals.Add(1)))
+			_, _ = io.WriteString(w, `{"error":"refused"}`)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	return hs, &refusals
+}
+
+// clientBatch is six Fig. 1 variants (processing demand nudged per
+// request) under the paper configurations.
+func clientBatch(t *testing.T) []core.BatchRequest {
+	t.Helper()
+	cfgs := coreConfigs(t, paperConfigs)
+	var reqs []core.BatchRequest
+	for i := 0; i < 6; i++ {
+		ts := fixtures.Fig1TaskSet()
+		ts.Tasks[0].PD += taskmodel.Time(i)
+		reqs = append(reqs, core.BatchRequest{TS: ts, Cfgs: cfgs})
+	}
+	return reqs
+}
+
+// TestClientRetriesTransientRefusals: a node that refuses every
+// request once, in turn with a shed (429), an unavailable node (503)
+// and a queue timeout (504), loses no sample of a cluster batch: the
+// client retries each and its results equal core.AnalyzeAll's.
+func TestClientRetriesTransientRefusals(t *testing.T) {
+	statuses := []int{http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout}
+	hs, refusals := refusingNode(t, New(Options{}), func(n int64) int { return statuses[(n-1)%3] })
+	client, err := cluster.NewClient([]string{hs.URL}, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := clientBatch(t)
+	out, err := client.AnalyzeBatch(reqs, core.BatchOptions{
+		Workers:   3,
+		OnFailure: func(i int, _ string, err error, _ []byte) { t.Errorf("request %d failed: %v", i, err) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := refusals.Load(); got != int64(len(reqs)) {
+		t.Errorf("node refused %d posts, want one per request (%d)", got, len(reqs))
+	}
+	for i, r := range reqs {
+		want, err := core.AnalyzeAll(r.TS, r.Cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out[i], want) {
+			t.Errorf("request %d: fleet results differ from core.AnalyzeAll", i)
+		}
+	}
+}
+
+// TestClientDoesNotRetryRequestFailures: a 400 is the request's own
+// failure, reported once through OnFailure after a single post.
+func TestClientDoesNotRetryRequestFailures(t *testing.T) {
+	hs, refusals := refusingNode(t, New(Options{}), func(int64) int { return http.StatusBadRequest })
+	client, err := cluster.NewClient([]string{hs.URL}, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := clientBatch(t)[:1]
+	var failures atomic.Int64
+	out, err := client.AnalyzeBatch(reqs, core.BatchOptions{
+		OnFailure: func(int, string, error, []byte) { failures.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != nil || failures.Load() != 1 || refusals.Load() != 1 {
+		t.Errorf("400 answer: results %v, %d failures, %d posts refused; want no results, 1 failure, 1 post",
+			out[0], failures.Load(), refusals.Load())
 	}
 }

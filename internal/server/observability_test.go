@@ -145,9 +145,11 @@ func TestGaugesUnderConcurrentLoad(t *testing.T) {
 
 // TestMetricsEndpointFormats: the JSON document carries counters,
 // gauges and stage histograms with quantiles; ?format=prometheus
-// serves a well-formed 0.0.4 exposition of the same state.
+// serves a well-formed 0.0.4 exposition of the same state. The budget
+// gauges carry the bytes the request store and the memo account.
 func TestMetricsEndpointFormats(t *testing.T) {
-	hs := httptest.NewServer(New(Options{}).Handler())
+	srv := New(Options{})
+	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
 	body := requestBody(t, fixtures.Fig1TaskSet(), paperConfigs[:1])
@@ -180,6 +182,16 @@ func TestMetricsEndpointFormats(t *testing.T) {
 	if _, ok := m.Gauges["server.queue_depth"]; !ok {
 		t.Error("JSON metrics missing server.queue_depth gauge")
 	}
+	cacheBytes, memoBytes := srv.store.bytes(), srv.memo.Bytes()
+	if cacheBytes == 0 || memoBytes == 0 {
+		t.Fatalf("after one analysis: store %d B, memo %d B; want both non-zero", cacheBytes, memoBytes)
+	}
+	if got := m.Gauges["server.cache_bytes"]; got != cacheBytes {
+		t.Errorf("server.cache_bytes = %d, want the store's %d", got, cacheBytes)
+	}
+	if got := m.Gauges["core.memo_bytes"]; got != memoBytes {
+		t.Errorf("core.memo_bytes = %d, want the memo's %d", got, memoBytes)
+	}
 	rt := m.Histograms["server.request_us"]
 	if rt.P99 < rt.P50 || float64(rt.Max) < rt.P99 {
 		t.Errorf("quantiles disordered: p50=%v p99=%v max=%d", rt.P50, rt.P99, rt.Max)
@@ -205,6 +217,10 @@ func TestMetricsEndpointFormats(t *testing.T) {
 		"server_requests 2",
 		"# TYPE server_inflight gauge",
 		"# TYPE server_queue_depth gauge",
+		"# TYPE server_cache_bytes gauge",
+		fmt.Sprintf("server_cache_bytes %d", cacheBytes),
+		"# TYPE core_memo_bytes gauge",
+		fmt.Sprintf("core_memo_bytes %d", memoBytes),
 		"# TYPE server_request_us histogram",
 		"server_stage_analyze_us_count 1",
 		// Only analysis requests charge stages, so this stays exact even

@@ -58,8 +58,8 @@ import (
 )
 
 // Options configures a Server. The zero value is serviceable: engine
-// concurrency at GOMAXPROCS, a queue of twice that, a 1024-entry
-// request store, no per-request timeout.
+// concurrency at GOMAXPROCS, a queue of twice that, a 20 MiB memory
+// budget, no per-request timeout.
 type Options struct {
 	// Workers bounds concurrent engine invocations; <= 0 selects
 	// GOMAXPROCS.
@@ -68,17 +68,18 @@ type Options struct {
 	// before new arrivals are shed with 429. 0 selects 2×Workers; a
 	// negative value disables waiting entirely (busy workers => shed).
 	QueueDepth int
-	// CacheEntries bounds the request store: the recently analyzed
-	// requests whose results answer repeats from cache and whose inputs
-	// make them /v1/analyze/delta bases. 0 selects 1024; a negative
-	// value disables caching and deltas together (every base lookup
-	// 404s).
-	CacheEntries int
-	// MemoEntries bounds the engine's content-addressed table memo
-	// shared across requests (the delta fast path). 0 selects the
-	// engine default (4096 columns); a negative value disables
-	// memoization.
-	MemoEntries int
+	// MemBudget bounds, in bytes, the two stores the server keeps
+	// across requests, split by fixed shares: three fifths for the
+	// request store (the recently analyzed requests whose results
+	// answer repeats from cache and whose inputs make them
+	// /v1/analyze/delta bases) and two fifths for the engine's
+	// content-addressed table memo (the delta fast path). Each store
+	// charges an entry its accounted size and evicts least recently
+	// used entries until the total fits its share; an entry larger
+	// than the whole share is not kept. 0 selects DefaultMemBudget; a
+	// negative value disables caching, deltas (every base lookup 404s)
+	// and memoization together.
+	MemBudget int64
 	// RequestTimeout bounds how long a request may wait for a worker
 	// slot. A running analysis is never preempted mid-fixed-point — its
 	// runtime is bounded by Config.MaxOuterIterations — and its result
@@ -112,7 +113,7 @@ type Server struct {
 	obs      *telemetry.Observer
 	store    *store
 	flight   *flightGroup
-	memo     *core.MemoStore // nil when MemoEntries < 0
+	memo     *core.MemoStore // nil when MemBudget < 0
 	ring     *cluster.Ring   // nil outside a fleet
 	sem      chan struct{}   // worker slots
 	tickets  chan struct{}   // worker slots + waiting room; full => shed
@@ -134,18 +135,16 @@ func New(opts Options) *Server {
 	case opts.QueueDepth == 0:
 		opts.QueueDepth = 2 * opts.Workers
 	}
-	switch {
-	case opts.CacheEntries < 0:
-		opts.CacheEntries = 0
-	case opts.CacheEntries == 0:
-		opts.CacheEntries = 1024
+	if opts.MemBudget == 0 {
+		opts.MemBudget = DefaultMemBudget
 	}
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = time.Second
 	}
+	storeBytes, memoBytes := splitBudget(opts.MemBudget)
 	var memo *core.MemoStore
-	if opts.MemoEntries >= 0 {
-		memo = core.NewMemoStore(opts.MemoEntries)
+	if memoBytes > 0 {
+		memo = core.NewMemoStore(memoBytes)
 	}
 	if opts.Observer == nil {
 		opts.Observer = telemetry.New()
@@ -153,7 +152,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		obs:     opts.Observer,
-		store:   newStore(opts.CacheEntries, opts.Observer),
+		store:   newStore(storeBytes, opts.Observer),
 		flight:  newFlightGroup(),
 		memo:    memo,
 		ring:    opts.Ring,
@@ -174,6 +173,26 @@ func New(opts Options) *Server {
 	s.mux = mux
 	s.handler = s.instrument(mux)
 	return s
+}
+
+// DefaultMemBudget is the budget a zero Options.MemBudget selects:
+// 12 MiB of request store, about a thousand paper-shaped requests at
+// 12 KB each, and 8 MiB of memo.
+const DefaultMemBudget = 20 << 20
+
+// splitBudget divides a memory budget into the request store's share
+// (three fifths) and the memo's (the rest); a negative budget gives
+// both nothing. The memo's two fifths are what edit chains on
+// 160-task, 8192-set bases need: charged by bytes, a 4 MiB memo held
+// fewer of their columns than a 4,096-entry one (column hit share 0.32
+// against 0.45), 8 MiB more (0.58). A larger store share would cost
+// paper-shaped serving resident memory without adding hits.
+func splitBudget(budget int64) (storeBytes, memoBytes int64) {
+	if budget < 0 {
+		return 0, 0
+	}
+	storeBytes = budget / 5 * 3
+	return storeBytes, budget - storeBytes
 }
 
 // Handler returns the root handler — the instrument middleware
@@ -527,6 +546,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauges := []telemetry.PromGauge{
 		{Name: "server.inflight", Help: "requests currently in flight", Value: s.inflight.Load()},
 		{Name: "server.queue_depth", Help: "admitted requests waiting for a worker", Value: s.queueDepth()},
+		{Name: "server.cache_bytes", Help: "accounted bytes resident in the request store", Value: s.store.bytes()},
+		{Name: "core.memo_bytes", Help: "accounted bytes resident in the engine memo", Value: s.memo.Bytes()},
 	}
 	m := s.obs.Metrics
 	if r.URL.Query().Get("format") == "prometheus" {

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fixtures"
@@ -30,11 +31,17 @@ func puts(n int, then ...storeStep) []storeStep {
 
 // TestStoreLRU drives the request store, and through it internal/lru:
 // recency order over results and bases alike, updates in place, the
-// capacity bound, the disabled store, and entries without inputs.
+// byte bound, the disabled store, and entries without inputs. A case's
+// max is in units of one put entry (a Fig. 1 base under the longest
+// key the cases use); results-only entries weigh far less, and one
+// bigger than the whole bound is not kept.
 func TestStoreLRU(t *testing.T) {
+	ts := fixtures.Fig1TaskSet()
+	unit := storeEntry{raw: json.RawMessage("0"), ts: ts}.entryBytes("k999")
+	huge := `"` + strings.Repeat("x", 64<<10) + `"`
 	cases := []struct {
 		name      string
-		max       int
+		max       int64
 		steps     []storeStep
 		len       int
 		evictions int64
@@ -83,12 +90,26 @@ func TestStoreLRU(t *testing.T) {
 			{op: "base", key: "e"},
 			{op: "get", key: "e", val: "2"},
 		}, 1, 0},
+		{"inputs_outweigh_results", 1, []storeStep{
+			{op: "fill", key: "a", val: "1"},
+			{op: "fill", key: "b", val: "1"},
+			{op: "fill", key: "c", val: "1"},
+			{op: "get", key: "a", val: "1"},
+			{op: "put", key: "d", val: "1"}, // one base displaces all three
+			{op: "get", key: "a"},
+			{op: "base", key: "d"},
+		}, 1, 3},
+		{"oversized_entry_not_stored", 2, []storeStep{
+			{op: "put", key: "a", val: "1"},
+			{op: "fill", key: "big", val: huge},
+			{op: "get", key: "big"},
+			{op: "get", key: "a", val: "1"},
+		}, 1, 0},
 	}
-	ts := fixtures.Fig1TaskSet()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			obs := telemetry.New()
-			s := newStore(tc.max, obs)
+			s := newStore(tc.max*unit, obs)
 			for i, st := range tc.steps {
 				switch st.op {
 				case "put":
@@ -112,6 +133,9 @@ func TestStoreLRU(t *testing.T) {
 			}
 			if got := s.len(); got != tc.len {
 				t.Errorf("len = %d, want %d", got, tc.len)
+			}
+			if got := s.bytes(); got > tc.max*unit {
+				t.Errorf("store holds %d B, bound %d B", got, tc.max*unit)
 			}
 			if got := obs.Metrics.Get(telemetry.CtrServerCacheEvictions); got != tc.evictions {
 				t.Errorf("server.cache_evictions = %d, want %d", got, tc.evictions)

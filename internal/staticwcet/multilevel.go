@@ -90,22 +90,22 @@ func AnalyzeHierarchy(prog *program.Program, l1, l2 taskmodel.CacheConfig) (*Hie
 	// distinct footprint blocks of each loop share each L2 set.
 	l2an := &analyzer{cache: l2}
 	l2an.structure(prog.Root, nil, 1)
+	l2an.indexFootprint()
 
 	h := &hierWalker{
 		l2:      l2,
 		an:      l2an,
 		classes: l1res.Refs,
 	}
-	newSt := func() *state { return &state{ways: l2.Ways(), sets: make([][]ageEntry, l2.NumSets)} }
-	warmSt := func() *state {
-		st := newSt()
+	warmSt := func() state {
+		st := l2an.newState()
 		for _, b := range pcbBlocks {
-			st.install(l2.SetOf(b), b)
+			st.install(l2an.slot(b), b)
 		}
 		return st
 	}
-	l1m, md, ucb := h.count(prog, newSt(), false)
-	_, mdExact, _ := h.count(prog, newSt(), true)
+	l1m, md, ucb := h.count(prog, l2an.newState(), false)
+	_, mdExact, _ := h.count(prog, l2an.newState(), true)
 	_, mdr, _ := h.count(prog, warmSt(), false)
 	_, mdrExact, _ := h.count(prog, warmSt(), true)
 
@@ -131,14 +131,14 @@ type hierWalker struct {
 	classes []RefReport
 }
 
-func (h *hierWalker) count(prog *program.Program, init *state, fmCredit bool) (l1Misses, l2Misses int64, ucb cacheset.Set) {
+func (h *hierWalker) count(prog *program.Program, init state, fmCredit bool) (l1Misses, l2Misses int64, ucb cacheset.Set) {
 	w := &hierPass{
 		l2: h.l2, an: h.an, classes: h.classes,
 		fmCredit: fmCredit,
 		charged:  map[[2]int64]bool{},
 		ucb:      cacheset.New(h.l2.NumSets),
 	}
-	w.walk(prog.Root, init.clone(), true)
+	w.walk(prog.Root, init, true)
 	return w.l1Misses, w.l2Misses, w.ucb
 }
 
@@ -176,10 +176,11 @@ func (w *hierPass) chargeL2(block int, exec int64) {
 	w.l2Misses += exec
 }
 
-func (w *hierPass) walk(n program.Node, st *state, record bool) *state {
+func (w *hierPass) walk(n program.Node, st state, record bool) state {
 	switch v := n.(type) {
 	case *program.Ref:
 		setIdx := w.l2.SetOf(v.Block)
+		slot := w.an.slot(v.Block)
 		var cls Classification
 		var exec int64
 		if record {
@@ -202,26 +203,25 @@ func (w *hierPass) walk(n program.Node, st *state, record bool) *state {
 		case AlwaysMiss:
 			if record {
 				w.l1Misses += exec
-				if st.contains(setIdx, v.Block) {
+				if st.contains(slot, v.Block) {
 					w.ucb.Add(setIdx)
 				} else {
 					w.chargeL2(v.Block, exec)
 				}
 			}
-			st.access(setIdx, v.Block)
+			st.access(slot, v.Block)
 			return st
 		default: // FirstMiss: the L2 access may or may not happen.
 			if record {
 				w.l1Misses += exec
-				if st.contains(setIdx, v.Block) {
+				if st.contains(slot, v.Block) {
 					w.ucb.Add(setIdx)
 				} else {
 					w.chargeL2(v.Block, exec)
 				}
 			}
-			with := st.clone()
-			with.access(setIdx, v.Block)
-			return st.join(with)
+			st.mayAccess(slot, v.Block)
+			return st
 		}
 	case *program.Seq:
 		for _, it := range v.Items {
@@ -230,19 +230,20 @@ func (w *hierPass) walk(n program.Node, st *state, record bool) *state {
 		return st
 	case *program.Alt:
 		sa := w.walk(v.A, st.clone(), record)
-		sb := w.walk(v.B, st.clone(), record)
-		return sa.join(sb)
+		sb := w.walk(v.B, st, record)
+		sa.meet(sb)
+		return sa
 	case *program.Loop:
 		entry := st.clone()
 		for {
-			out := w.walk(v.Body, entry.clone(), false)
-			next := st.join(out)
+			next := w.walk(v.Body, entry.clone(), false)
+			next.meet(st)
 			if next.equal(entry) {
 				break
 			}
 			entry = next
 		}
-		return w.walk(v.Body, entry.clone(), record)
+		return w.walk(v.Body, entry, record)
 	default:
 		panic(fmt.Sprintf("staticwcet: unknown node %T", n))
 	}

@@ -134,6 +134,7 @@ func Analyze(prog *program.Program, cache taskmodel.CacheConfig) (*Result, error
 	}
 	a := &analyzer{cache: cache}
 	a.structure(prog.Root, nil, 1)
+	a.indexFootprint()
 
 	// Whole-program footprint and the exact PCB set for direct mapping.
 	blocksPerSet := map[int]map[int]bool{}
@@ -166,7 +167,7 @@ func Analyze(prog *program.Program, cache taskmodel.CacheConfig) (*Result, error
 	// Residual demand: same counting with PCBs preloaded.
 	warm := a.newState()
 	for _, b := range pcbBlocks {
-		warm.install(cache.SetOf(b), b)
+		warm.install(a.slot(b), b)
 	}
 	_, mdrExact := a.countMisses(prog.Root, warm, true)
 	_, mdr := a.countMisses(prog.Root, warm, false)
@@ -228,7 +229,31 @@ type analyzer struct {
 	cache taskmodel.CacheConfig
 	loops []*loopCtx
 	refs  []refCtx
+	// local numbers the cache sets the footprint maps to, 1-based in
+	// first-reference order (0: no footprint block maps there); nLocal
+	// is how many there are. Must states index sets by local−1.
+	local  []int32
+	nLocal int
 }
+
+// indexFootprint numbers the footprint's cache sets densely, so must
+// states hold one slot per set the program touches rather than one per
+// set of the cache: loop fixpoints and Alt joins clone, join and
+// compare whole states, and at 8192 sets a geometry-sized state made
+// them cost far more than the program.
+func (a *analyzer) indexFootprint() {
+	a.local = make([]int32, a.cache.NumSets)
+	for _, ri := range a.refs {
+		if s := a.cache.SetOf(ri.block); a.local[s] == 0 {
+			a.nLocal++
+			a.local[s] = int32(a.nLocal)
+		}
+	}
+}
+
+// slot is the must-state index of the set block maps to; block must be
+// in the footprint.
+func (a *analyzer) slot(block int) int { return int(a.local[a.cache.SetOf(block)]) - 1 }
 
 // structure collects reference occurrences, enclosing-loop stacks,
 // execution counts and per-loop footprints. Both Alt branches are
@@ -276,31 +301,49 @@ type ageEntry struct {
 	age   int
 }
 
-// state is the LRU must-cache abstraction: per cache set, the blocks
-// guaranteed resident on every execution reaching this point, each
-// with an upper bound on its LRU age. A block is a guaranteed hit iff
-// it is present. For associativity 1 this degenerates to "the one
-// block known to occupy the set".
+// state is the LRU must-cache abstraction: per footprint set (by its
+// analyzer.slot index), the blocks guaranteed resident on every
+// execution reaching this point, each with an upper bound on its LRU
+// age. A block is a guaranteed hit iff it is present. For
+// associativity 1 this degenerates to "the one block known to occupy
+// the set".
+//
+// A set never holds more than ways blocks: at most k+1 of them have an
+// age bound ≤ k, which installs (ages 0, 1, …), accesses and joins all
+// preserve. So each set owns a fixed run of ways entries in one flat
+// slice, which clone copies whole.
 type state struct {
 	ways int
-	sets [][]ageEntry
+	// n[i] is how many of slot i's entries ents[i*ways:(i+1)*ways]
+	// are held.
+	n    []int
+	ents []ageEntry
 }
 
-func (a *analyzer) newState() *state {
-	return &state{ways: a.cache.Ways(), sets: make([][]ageEntry, a.cache.NumSets)}
+func (a *analyzer) newState() state {
+	ways := a.cache.Ways()
+	return state{ways: ways, n: make([]int, a.nLocal), ents: make([]ageEntry, a.nLocal*ways)}
+}
+
+// entries returns the held entries of slot, with room to append up to
+// ways of them in place.
+func (s state) entries(slot int) []ageEntry {
+	base := slot * s.ways
+	return s.ents[base : base+s.n[slot] : base+s.ways]
 }
 
 // install places a block in the must state without aging others; used
 // only for building preloaded initial states. Ages are assigned in
 // insertion order, which is valid because preloaded sets hold at most
 // ways blocks.
-func (s *state) install(set, block int) {
-	s.sets[set] = append(s.sets[set], ageEntry{block: block, age: len(s.sets[set])})
+func (s state) install(slot, block int) {
+	entries := s.entries(slot)
+	s.n[slot] = len(append(entries, ageEntry{block: block, age: len(entries)}))
 }
 
 // contains reports whether the block is guaranteed resident.
-func (s *state) contains(set, block int) bool {
-	for _, e := range s.sets[set] {
+func (s state) contains(slot, block int) bool {
+	for _, e := range s.entries(slot) {
 		if e.block == block {
 			return true
 		}
@@ -312,8 +355,35 @@ func (s *state) contains(set, block int) bool {
 // in the given set: the block becomes age 0; on a guaranteed hit only
 // younger blocks age, on a (potential) miss every block ages and those
 // reaching the associativity bound lose their guarantee.
-func (s *state) access(set, block int) {
-	entries := s.sets[set]
+func (s state) access(slot, block int) {
+	out := s.age(slot, block)
+	out = append(out, ageEntry{block: block, age: 0})
+	s.n[slot] = len(out)
+}
+
+// mayAccess is the transfer of a reference that may or may not
+// happen: the join of the states with and without access(slot, block).
+// The two differ only in slot's set, where the join keeps the block at
+// its old age bound if it was present (dropping it otherwise) and the
+// others aged as the access would age them.
+func (s state) mayAccess(slot, block int) {
+	entries := s.entries(slot)
+	for _, e := range entries {
+		if e.block == block {
+			out := s.age(slot, block)
+			s.n[slot] = len(append(out, e))
+			return
+		}
+	}
+	s.n[slot] = len(s.age(slot, block))
+}
+
+// age is the part of access(slot, block) that every other block of
+// the set sees, done in place: it returns the set's other blocks, aged
+// and without those that lost their guarantee, leaving room for one
+// more entry.
+func (s state) age(slot, block int) []ageEntry {
+	entries := s.entries(slot)
 	prevAge := s.ways // "older than everything" when not present
 	for _, e := range entries {
 		if e.block == block {
@@ -333,50 +403,42 @@ func (s *state) access(set, block int) {
 			out = append(out, e)
 		}
 	}
-	out = append(out, ageEntry{block: block, age: 0})
-	s.sets[set] = out
+	return out
 }
 
-func (s *state) clone() *state {
-	c := &state{ways: s.ways, sets: make([][]ageEntry, len(s.sets))}
-	for i, set := range s.sets {
-		if len(set) > 0 {
-			c.sets[i] = append([]ageEntry(nil), set...)
-		}
-	}
-	return c
+func (s state) clone() state {
+	return state{ways: s.ways, n: append([]int(nil), s.n...), ents: append([]ageEntry(nil), s.ents...)}
 }
 
-// join is the must-analysis meet: only blocks guaranteed in both
-// states survive, with the larger (worse) age bound.
-func (s *state) join(t *state) *state {
-	out := &state{ways: s.ways, sets: make([][]ageEntry, len(s.sets))}
-	for i := range s.sets {
-		for _, e := range s.sets[i] {
-			for _, f := range t.sets[i] {
+// meet is the must-analysis join, computed in place in s: only blocks
+// guaranteed in both states survive, with the larger (worse) age
+// bound.
+func (s state) meet(t state) {
+	for i := range s.n {
+		entries, other := s.entries(i), t.entries(i)
+		out := entries[:0]
+		for _, e := range entries {
+			for _, f := range other {
 				if e.block == f.block {
-					age := e.age
-					if f.age > age {
-						age = f.age
-					}
-					out.sets[i] = append(out.sets[i], ageEntry{block: e.block, age: age})
+					out = append(out, ageEntry{block: e.block, age: max(e.age, f.age)})
 					break
 				}
 			}
 		}
+		s.n[i] = len(out)
 	}
-	return out
 }
 
-func (s *state) equal(t *state) bool {
-	for i := range s.sets {
-		if len(s.sets[i]) != len(t.sets[i]) {
+func (s state) equal(t state) bool {
+	for i := range s.n {
+		if s.n[i] != t.n[i] {
 			return false
 		}
-		for _, e := range s.sets[i] {
+		other := t.entries(i)
+		for _, e := range s.entries(i) {
 			found := false
-			for _, f := range t.sets[i] {
-				if e.block == f.block && e.age == f.age {
+			for _, f := range other {
+				if e == f {
 					found = true
 					break
 				}
@@ -394,7 +456,7 @@ func (s *state) equal(t *state) bool {
 // With fmCredit, First-Miss references are charged once per entry of
 // their qualifying loop (exact accounting); without it they are
 // charged on every execution (the paper's accounting).
-func (a *analyzer) countMisses(root program.Node, init *state, fmCredit bool) ([]RefReport, int64) {
+func (a *analyzer) countMisses(root program.Node, init state, fmCredit bool) ([]RefReport, int64) {
 	m := &missCounter{
 		a:        a,
 		fmCredit: fmCredit,
@@ -416,18 +478,20 @@ type missCounter struct {
 	charged map[[2]int64]bool
 }
 
-// walk interprets the program abstractly. When record is true, each
-// reference occurrence appends a report; loop bodies run a fixpoint
-// without recording first, then one recording pass with the converged
-// entry state.
-func (m *missCounter) walk(n program.Node, st *state, record bool) *state {
+// walk interprets the program abstractly, updating st (which it owns)
+// and returning the out-state. When record is true, each reference
+// occurrence appends a report; loop bodies run a fixpoint without
+// recording first, then one recording pass with the converged entry
+// state.
+func (m *missCounter) walk(n program.Node, st state, record bool) state {
 	switch v := n.(type) {
 	case *program.Ref:
 		setIdx := m.a.cache.SetOf(v.Block)
+		slot := int(m.a.local[setIdx]) - 1
 		if record {
 			ri := m.a.refs[m.refIdx]
 			rep := RefReport{Block: v.Block, Set: setIdx, ExecCount: ri.execCount}
-			if st.contains(setIdx, v.Block) {
+			if st.contains(slot, v.Block) {
 				rep.Class = AlwaysHit
 			} else if lid, ok := m.qualifyingLoop(ri); ok {
 				rep.Class = FirstMiss
@@ -448,7 +512,7 @@ func (m *missCounter) walk(n program.Node, st *state, record bool) *state {
 			m.reports = append(m.reports, rep)
 			m.refIdx++
 		}
-		st.access(setIdx, v.Block)
+		st.access(slot, v.Block)
 		return st
 	case *program.Seq:
 		for _, it := range v.Items {
@@ -459,23 +523,23 @@ func (m *missCounter) walk(n program.Node, st *state, record bool) *state {
 		// Record passes must visit both branches to keep refIdx in sync
 		// with the structure pass; the out-state is the must-join.
 		sa := m.walk(v.A, st.clone(), record)
-		sb := m.walk(v.B, st.clone(), record)
-		return sa.join(sb)
+		sb := m.walk(v.B, st, record)
+		sa.meet(sb)
+		return sa
 	case *program.Loop:
-		// Fixpoint on the loop entry state without recording.
+		// Fixpoint on the loop entry state without recording: the next
+		// entry state is the loop's in-state joined with the body's
+		// out-state.
 		entry := st.clone()
 		for {
-			out := m.walk(v.Body, entry.clone(), false)
-			next := st.join(out)
+			next := m.walk(v.Body, entry.clone(), false)
+			next.meet(st)
 			if next.equal(entry) {
 				break
 			}
 			entry = next
 		}
-		if record {
-			return m.walk(v.Body, entry.clone(), true)
-		}
-		return m.walk(v.Body, entry.clone(), false)
+		return m.walk(v.Body, entry, record)
 	default:
 		panic(fmt.Sprintf("staticwcet: unknown node %T", n))
 	}
